@@ -24,6 +24,7 @@
 #include "engine/engine.h"
 #include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
+#include "engine/spmm_csr.h"
 #include "gpusim/cost_model.h"
 #include "kernels/kernel.h"
 #include "kernels/reference.h"
@@ -246,11 +247,10 @@ BM_FaultPointDisarmed(benchmark::State& state)
 }
 BENCHMARK(BM_FaultPointDisarmed);
 
-// ---- engine-off vs engine-on sweeps of the host execution engine
-// (src/engine/): pre-rounded B panels, column-panel tiling, and flat
-// index lanes vs the legacy scalar loops.  Outputs are bitwise
-// identical (tests/test_engine_equivalence.cc), so these rows isolate
-// the wall-clock effect.  Args: {dense width N, engine on}.
+// ---- Sweeps of the host execution engine (src/engine/):
+// pre-rounded B panels, column-panel tiling and flat index lanes.  The
+// engine is every kernel's only path; the --smoke rows below compare
+// it with the naive reference.  Arg: dense width N.
 
 void
 BM_DtcComputeEngine(benchmark::State& state)
@@ -262,7 +262,6 @@ BM_DtcComputeEngine(benchmark::State& state)
         return k;
     }();
     const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(state.range(1) != 0);
     Rng rng(3);
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
@@ -274,44 +273,41 @@ BM_DtcComputeEngine(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations() * m.nnz() * n);
 }
-BENCHMARK(BM_DtcComputeEngine)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
+BENCHMARK(BM_DtcComputeEngine)->Arg(32)->Arg(128)->Arg(512);
 
+/** The engine's CSR driver at TF32. */
 void
-BM_ReferenceTf32Engine(benchmark::State& state)
+BM_SpmmCsrRoundedEngine(benchmark::State& state)
 {
     const CsrMatrix& m = benchMatrix();
     const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(state.range(1) != 0);
     Rng rng(3);
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
     DenseMatrix c(m.rows(), n);
     engine::clearPreparedDenseCache();
     for (auto _ : state) {
-        referenceSpmmTf32(m, b, c);
+        engine::spmmCsrRounded(m.rows(), m.rowPtr().data(),
+                               m.colIdx().data(), m.values().data(),
+                               Precision::Tf32, b, c, 64);
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * m.nnz() * n);
 }
-BENCHMARK(BM_ReferenceTf32Engine)
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
+BENCHMARK(BM_SpmmCsrRoundedEngine)->Arg(32)->Arg(128)->Arg(512);
 
-// ---- SIMD-off vs SIMD-on sweeps of the vector micro-kernel backend
-// (src/engine/simd/): the engine stays on in both rows; Arg(1) picks
-// Isa::Off (dispatcher bypass, the pre-SIMD inline loops) vs the
-// host's detected ISA.  Outputs are bitwise identical
-// (tests/test_simd.cc), so these rows isolate the vectorization win.
+// ---- Scalar vs vector sweeps of the micro-kernel backend
+// (src/engine/simd/).  Args: {N, simd}: simd 0 runs Isa::Scalar, the
+// portable baseline, and 1 the host's detected ISA.  Outputs are
+// bitwise identical (tests/test_simd.cc), so these rows isolate the
+// vectorization win.
+
+engine::simd::Isa
+benchIsa(int64_t simd_on)
+{
+    return simd_on != 0 ? engine::simd::detectedIsa()
+                        : engine::simd::Isa::Scalar;
+}
 
 void
 BM_DtcComputeSimd(benchmark::State& state)
@@ -323,10 +319,7 @@ BM_DtcComputeSimd(benchmark::State& state)
         return k;
     }();
     const int64_t n = state.range(0);
-    engine::ScopedEngineMode mode(true);
-    engine::simd::ScopedSimdMode simd(
-        state.range(1) != 0 ? engine::simd::detectedIsa()
-                            : engine::simd::Isa::Off);
+    engine::simd::ScopedSimdMode simd(benchIsa(state.range(1)));
     Rng rng(3);
     DenseMatrix b(m.cols(), n);
     b.fillRandom(rng);
@@ -350,9 +343,8 @@ void
 BM_RoundPanelSimd(benchmark::State& state)
 {
     const int64_t n = state.range(0);
-    const engine::simd::Kernels& K = engine::simd::kernelsFor(
-        state.range(1) != 0 ? engine::simd::detectedIsa()
-                            : engine::simd::Isa::Off);
+    const engine::simd::Kernels& K =
+        engine::simd::kernelsFor(benchIsa(state.range(1)));
     Rng rng(13);
     AlignedVector<float> in(static_cast<size_t>(n));
     AlignedVector<float> out(static_cast<size_t>(n));
@@ -412,7 +404,7 @@ BENCHMARK(BM_SelectorDecision);
 
 } // namespace
 
-// ---- `--smoke` mode: a fast, self-validating engine-vs-scalar
+// ---- `--smoke` mode: a fast, self-validating engine-vs-naive
 // comparison that writes machine-readable BENCH_engine.json.  Run by
 // the `bench_smoke` ctest so the schema and the engine's win on
 // rounding work stay checked on every build.
@@ -430,33 +422,27 @@ struct SmokeRow
 };
 
 /**
- * Times @p fn engine-off (after one warm-up call) and engine-on (from
- * a cold PreparedDense cache, so the one-time panel rounding is billed
- * to the engine).  Reads the engine counters as before/after deltas
- * instead of resetting them, so the cumulative totals survive into
- * the metrics snapshot this binary writes in --smoke mode.
+ * One engine row: "off" is @p naive_ms, the same product computed by
+ * the naive reference (which rounds every B operand where it is used,
+ * reps * nnz * N roundings: legacy_b_round_ops), and "on" times @p fn
+ * from a cold PreparedDense cache, so the one-time panel rounding is
+ * billed to the engine.  Reads the engine counters as before/after
+ * deltas instead of resetting them, so the cumulative totals survive
+ * into the metrics snapshot this binary writes in --smoke mode.
  */
 template <typename F>
 SmokeRow
 smokeCompare(const char* kernel_name, const CsrMatrix& m, int64_t n,
-             int reps, F&& fn)
+             int reps, double naive_ms, F&& fn)
 {
     SmokeRow row;
     row.kernel = kernel_name;
     row.n = n;
-    {
-        engine::ScopedEngineMode mode(false);
-        fn(); // warm-up: touch B/C pages once
-        row.offMs = bench::timedMs(reps, fn);
-    }
-    {
-        engine::ScopedEngineMode mode(true);
-        engine::clearPreparedDenseCache();
-        const uint64_t round0 = engine::stats().roundingOps.load();
-        row.onMs = bench::timedMs(reps, fn);
-        row.engineBRoundOps =
-            engine::stats().roundingOps.load() - round0;
-    }
+    row.offMs = naive_ms;
+    engine::clearPreparedDenseCache();
+    const uint64_t round0 = engine::stats().roundingOps.load();
+    row.onMs = bench::timedMs(reps, fn);
+    row.engineBRoundOps = engine::stats().roundingOps.load() - round0;
     row.legacyBRoundOps = static_cast<uint64_t>(reps) *
                           static_cast<uint64_t>(m.nnz()) *
                           static_cast<uint64_t>(n);
@@ -464,10 +450,9 @@ smokeCompare(const char* kernel_name, const CsrMatrix& m, int64_t n,
 }
 
 /**
- * SIMD-off vs SIMD-on timing in the engine-row shape: the engine is
- * on for both columns; "off" bypasses the vector dispatcher
- * (Isa::Off) and "on" runs the host's detected ISA backend.  The
- * rounding-op columns do not apply; both are 0.
+ * Scalar vs SIMD timing in the engine-row shape: "off" runs
+ * Isa::Scalar, the portable baseline, and "on" the host's detected
+ * ISA backend.  The rounding-op columns do not apply; both are 0.
  */
 template <typename F>
 SmokeRow
@@ -478,9 +463,8 @@ simdSmokeCompare(const char* kernel_name, int64_t n, int reps, F&& fn)
     row.n = n;
     row.legacyBRoundOps = 0;
     row.engineBRoundOps = 0;
-    engine::ScopedEngineMode mode(true);
     {
-        engine::simd::ScopedSimdMode simd(engine::simd::Isa::Off);
+        engine::simd::ScopedSimdMode simd(engine::simd::Isa::Scalar);
         engine::clearPreparedDenseCache();
         fn(); // warm-up: touch B/C pages, fill the panel cache
         row.offMs = bench::timedMs(reps, fn);
@@ -609,11 +593,9 @@ runEngineSmoke(const std::string& out_path,
                const std::string& metrics_path)
 {
     // Pin the SIMD backend to the detected ISA for the whole smoke
-    // run: the engine.simd.* counter totals in the metrics snapshot
-    // must not depend on a DTC_SIMD environment override (the CI
-    // DTC_SIMD=off leg runs this binary too), and the definitional
-    // 8-wide counter split already makes AVX2 and AVX-512 hosts
-    // agree.  The simd_off_on rows below still force Isa::Off
+    // run, so the engine columns time the same backend whatever
+    // DTC_SIMD says (the CI DTC_SIMD=scalar leg runs this binary
+    // too).  The simd_off_on rows below still force Isa::Scalar
     // locally for their "off" column.
     engine::simd::ScopedSimdMode simd_pin(
         engine::simd::detectedIsa());
@@ -634,20 +616,25 @@ runEngineSmoke(const std::string& out_path,
         DenseMatrix b(m.cols(), n);
         b.fillRandom(brng);
         DenseMatrix c(m.rows(), n);
+        const auto naive = [&] {
+            referenceSpmmRounded(m, b, c, Precision::Tf32);
+        };
+        naive(); // warm-up: touch B/C pages once
+        const double naive_ms = bench::timedMs(reps, naive);
         rows.push_back(smokeCompare(
-            "DtcKernel::compute", m, n, reps,
+            "DtcKernel::compute", m, n, reps, naive_ms,
             [&] { dtc_kernel->compute(b, c); }));
         rows.push_back(smokeCompare(
-            "referenceSpmmTf32", m, n, reps,
-            [&] { referenceSpmmTf32(m, b, c); }));
+            "engine::spmmCsrRounded", m, n, reps, naive_ms, [&] {
+                engine::spmmCsrRounded(m.rows(), m.rowPtr().data(),
+                                       m.colIdx().data(),
+                                       m.values().data(),
+                                       Precision::Tf32, b, c, 64);
+            }));
     }
-    // SIMD rows: engine on in both columns, Isa::Off vs detected.
-    // Dense 16x8 blocks on an L2-resident shape give the register-
-    // blocked tileInner path something to chew on.  The axpy-bound
-    // reference row is load/store-bound (compiler-vectorized Off
-    // column already saturates), so the vector win concentrates in
-    // tileInner and roundPanel; its row is kept for coverage, not
-    // headline speedup.
+    // SIMD rows: Isa::Scalar vs the detected ISA on an L2-resident
+    // shape of full 16x8 blocks.  The axpy-bound rows are
+    // load/store-bound, so the vector win concentrates in roundPanel.
     {
         Rng srng(2);
         const CsrMatrix md = genBlockDiagonal(1024, 16, 1.0, srng);
@@ -666,8 +653,12 @@ runEngineSmoke(const std::string& out_path,
             "DtcKernel::compute simd_off_on", 128, simd_reps,
             [&] { dense_kernel->compute(b, c); }));
         rows.push_back(simdSmokeCompare(
-            "referenceSpmmTf32 simd_off_on", 128, simd_reps,
-            [&] { referenceSpmmTf32(md, b, c); }));
+            "engine::spmmCsrRounded simd_off_on", 128, simd_reps, [&] {
+                engine::spmmCsrRounded(md.rows(), md.rowPtr().data(),
+                                       md.colIdx().data(),
+                                       md.values().data(),
+                                       Precision::Tf32, b, c, 64);
+            }));
     }
     {
         // Raw rounding micro-kernel: one 512-wide panel's worth of
@@ -686,7 +677,7 @@ runEngineSmoke(const std::string& out_path,
         const int round_reps = 20;
         {
             const engine::simd::Kernels& K =
-                engine::simd::kernelsFor(engine::simd::Isa::Off);
+                engine::simd::kernelsFor(engine::simd::Isa::Scalar);
             row.offMs = bench::timedMs(round_reps, [&] {
                 K.roundPanel(pout.data(), pin.data(), elems,
                              Precision::Tf32);

@@ -7,9 +7,9 @@
  *   dtc_fuzz --smoke
  *       Bounded, deterministic sweep: every structure family x fixed
  *       seeds through the full differential oracle (all kernels x
- *       precisions x engine on/off x thread counts), the metamorphic
- *       property sweep, and the fault-injection sweep.  The ctest /
- *       CI entry point; exits nonzero on any failure.
+ *       their precisions x SIMD ISAs x thread counts), the
+ *       metamorphic property sweep, and the fault-injection sweep.
+ *       The ctest / CI entry point; exits nonzero on any failure.
  *
  *   dtc_fuzz --minutes N [--seed S]
  *       Timed campaign with fresh seeds until the budget expires

@@ -70,7 +70,7 @@ main()
     //    double-precision reference (tolerance), then report the
     //    simulated launch.
     DenseMatrix want_tf32(a.rows(), n), want_fp64(a.rows(), n);
-    referenceSpmmTf32(a, b, want_tf32);
+    referenceSpmmRounded(a, b, want_tf32, Precision::Tf32);
     referenceSpmm(a, b, want_fp64);
     std::printf("verification: TF32 bit-exact=%s, max |err| vs fp64 "
                 "reference=%.2e\n",

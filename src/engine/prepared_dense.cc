@@ -16,8 +16,13 @@ namespace {
 /** Rows per parallelFor chunk for hashing and rounding passes. */
 constexpr int64_t kRowGrain = 256;
 
-/** Cached (B, precision) pairs kept; beyond this, LRU eviction. */
-constexpr size_t kCacheCapacity = 8;
+/**
+ * Cached (B, precision) pairs kept; beyond this, LRU eviction.  Four
+ * cover a GCN epoch, the caller that re-uses a B: its feature matrix
+ * comes back after three other operands.  Each further slot only pins
+ * one more served request's rounded panel, as large as its B.
+ */
+constexpr size_t kCacheCapacity = 4;
 
 /**
  * FNV-1a over the raw words of rows [lo, hi), combined across chunks
@@ -84,20 +89,6 @@ roundDense(const DenseMatrix& b, Precision p)
     });
     stats().roundingOps.fetch_add(static_cast<uint64_t>(b.size()),
                                   std::memory_order_relaxed);
-    // roundPanel itself does not book elements (chunk sizes follow
-    // the parallelFor decomposition); count the whole pass here,
-    // definitionally against the fixed 8-wide block, so the
-    // engine.simd.* totals are thread-count independent.
-    const auto total = static_cast<uint64_t>(b.size());
-    if (K.isa == simd::Isa::Scalar) {
-        simd::stats().tailElems.fetch_add(total,
-                                          std::memory_order_relaxed);
-    } else if (K.isa != simd::Isa::Off) {
-        simd::stats().vectorElems.fetch_add(
-            total - total % 8, std::memory_order_relaxed);
-        simd::stats().tailElems.fetch_add(total % 8,
-                                          std::memory_order_relaxed);
-    }
     return buf;
 }
 

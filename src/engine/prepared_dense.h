@@ -3,9 +3,9 @@
  * PreparedDense — the engine's B-panel cache.
  *
  * Tensor-core kernels round every B operand to the MMA input
- * precision (TF32/BF16/FP16).  The scalar paths do that inside the
- * innermost loop — O(nnz*N) roundings per compute() call, the single
- * largest source of per-element overhead on the host.  PreparedDense
+ * precision (TF32/BF16/FP16).  Rounding inside the innermost loop
+ * costs O(nnz*N) roundings per compute() call, the single largest
+ * source of per-element overhead on the host.  PreparedDense
  * rounds B exactly once per (contents, precision) pair — O(K*N) —
  * and shares the rounded copy across kernels, tuner candidates and
  * repeated launches through a small process-wide LRU keyed by
@@ -19,7 +19,7 @@
  *
  * Rounding is elementwise, so the rounded buffer is bitwise
  * independent of thread count, and reading rounded values multiplies
- * the exact floats the scalar paths produce inline.
+ * the exact floats that rounding each operand inline produces.
  */
 #ifndef DTC_ENGINE_PREPARED_DENSE_H
 #define DTC_ENGINE_PREPARED_DENSE_H

@@ -4,7 +4,7 @@
  * -mavx2 -ffp-contract=off (see src/CMakeLists.txt) — the contract
  * flag is load-bearing: it stops the compiler from fusing the
  * separate multiply and add into an FMA, which would change low-order
- * bits versus the scalar engine.
+ * bits versus the scalar backend.
  */
 #define DTC_SIMD_BACKEND_AVX2 1
 #define DTC_SIMD_NS avx2_impl

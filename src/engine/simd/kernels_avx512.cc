@@ -1,9 +1,7 @@
 /**
  * @file
  * AVX-512 backend: 16-wide __m512 main loops with one 8-wide __m256
- * step for the 8..15 remainder, then a scalar tail — so the element
- * split it *books* matches the fixed 8-wide counter definition even
- * though the physical width is 16.  Compiled with
+ * step for the 8..15 remainder, then a scalar tail.  Compiled with
  * -mavx512f -mavx512dq -mavx512bw -mavx512vl -ffp-contract=off.
  */
 #define DTC_SIMD_BACKEND_AVX512 1

@@ -9,16 +9,9 @@
  * no include guard, include it exactly once per backend TU.
  *
  * Contract (see simd.h): per output element, every backend performs
- * the scalar engine's exact FP32 sequence — separate multiply then
- * add in ascending-j / ascending-lane order.  The TUs are compiled
- * with -ffp-contract=off, so the compiler cannot fuse them either.
- *
- * Element counters are defined against the fixed 8-wide j-block
- * (vector = n - n%8, tail = n%8) regardless of the backend's physical
- * width, so AVX2 and AVX-512 hosts produce identical counter totals;
- * the scalar backend attributes everything to the tail counter.
- * roundPanel deliberately does not count (its chunk sizes follow the
- * parallelFor decomposition; the caller counts whole passes).
+ * the scalar backend's exact FP32 sequence — separate multiply then
+ * add in ascending-j order.  The TUs are compiled with
+ * -ffp-contract=off, so the compiler cannot fuse them either.
  */
 #include <cstdint>
 
@@ -33,37 +26,9 @@ namespace DTC_SIMD_NS {
 
 namespace {
 
-/**
- * Books @p scale axpy-equivalents of length @p n (scale = 1 for a
- * plain axpy, wh*bw for a dense tile).
- */
-inline void
-countSplit(int64_t n, int64_t scale)
-{
-    SimdStats& s = stats();
-#if defined(DTC_SIMD_BACKEND_SCALAR)
-    s.tailElems.fetch_add(static_cast<uint64_t>(n * scale),
-                          std::memory_order_relaxed);
-#else
-    // Skip zero-sized halves: an aligned width (n % 8 == 0) costs one
-    // atomic, not two — booking is on every axpy's fast path.
-    if (n - (n & 7) > 0) {
-        s.vectorElems.fetch_add(
-            static_cast<uint64_t>((n - (n & 7)) * scale),
-            std::memory_order_relaxed);
-    }
-    if ((n & 7) > 0) {
-        s.tailElems.fetch_add(
-            static_cast<uint64_t>((n & 7) * scale),
-            std::memory_order_relaxed);
-    }
-#endif
-}
-
-/** axpy body without counting (shared by axpy / axpyPrefetch / tiles). */
-inline void
-axpyBody(float* __restrict c, const float* __restrict b, float v,
-         int64_t n)
+void
+axpy(float* __restrict c, const float* __restrict b, float v,
+     int64_t n)
 {
     int64_t j = 0;
 #if defined(DTC_SIMD_BACKEND_SCALAR)
@@ -89,26 +54,17 @@ axpyBody(float* __restrict c, const float* __restrict b, float v,
 }
 
 void
-axpy(float* c, const float* b, float v, int64_t n)
-{
-    countSplit(n, 1);
-    axpyBody(c, b, v, n);
-}
-
-void
 axpyPrefetch(float* c, const float* b, float v, int64_t n,
              const float* next_b)
 {
     vec::prefetch(next_b, n);
-    countSplit(n, 1);
-    axpyBody(c, b, v, n);
+    axpy(c, b, v, n);
 }
 
 void
 axpyDouble(double* __restrict acc, const float* __restrict b,
            double v, int64_t n)
 {
-    countSplit(n, 1);
     int64_t j = 0;
 #if defined(DTC_SIMD_BACKEND_SCALAR)
     for (; j + 8 <= n; j += 8) {
@@ -134,74 +90,6 @@ axpyDouble(double* __restrict acc, const float* __restrict b,
 #endif
     for (; j < n; ++j)
         acc[j] += v * static_cast<double>(b[j]);
-}
-
-/** Widest lane count the register-blocked tile path keeps in registers. */
-[[maybe_unused]] constexpr int64_t kMaxTileBw = 16;
-
-void
-tileInner(float* c, int64_t c_stride, const float* tile,
-          const float* const* brows, int64_t wh, int64_t bw,
-          int64_t n)
-{
-    countSplit(n, wh * bw);
-#if !defined(DTC_SIMD_BACKEND_SCALAR)
-    if (bw <= kMaxTileBw) {
-        // Register-blocked: load each B row's j-chunk once and reuse
-        // it across all wh C rows (the fragment-reuse half of the
-        // m16n8k8 MMA).  Loop order is j-chunk / i / l, so per C
-        // element the accumulation is still ascending-l — bitwise
-        // identical to wh*bw successive axpy calls.
-        int64_t j = 0;
-#if defined(DTC_SIMD_BACKEND_AVX512)
-        for (; j + 16 <= n; j += 16) {
-            __m512 bv[kMaxTileBw];
-            for (int64_t l = 0; l < bw; ++l)
-                bv[l] = vec::load16(brows[l] + j);
-            for (int64_t i = 0; i < wh; ++i) {
-                float* ci = c + i * c_stride;
-                const float* trow = tile + i * bw;
-                __m512 acc = vec::load16(ci + j);
-                for (int64_t l = 0; l < bw; ++l)
-                    acc = vec::mulAdd16(acc, vec::set16(trow[l]),
-                                        bv[l]);
-                vec::store16(ci + j, acc);
-            }
-        }
-#endif
-        for (; j + 8 <= n; j += 8) {
-            __m256 bv[kMaxTileBw];
-            for (int64_t l = 0; l < bw; ++l)
-                bv[l] = vec::load8(brows[l] + j);
-            for (int64_t i = 0; i < wh; ++i) {
-                float* ci = c + i * c_stride;
-                const float* trow = tile + i * bw;
-                __m256 acc = vec::load8(ci + j);
-                for (int64_t l = 0; l < bw; ++l)
-                    acc = vec::mulAdd8(acc, vec::set8(trow[l]),
-                                       bv[l]);
-                vec::store8(ci + j, acc);
-            }
-        }
-        for (; j < n; ++j) {
-            for (int64_t i = 0; i < wh; ++i) {
-                float* ci = c + i * c_stride;
-                const float* trow = tile + i * bw;
-                for (int64_t l = 0; l < bw; ++l)
-                    ci[j] += trow[l] * brows[l][j];
-            }
-        }
-        return;
-    }
-#endif
-    // Scalar backend, or a block shape too wide to register-block:
-    // the PR 3 loop nest (per row, per lane, axpy across the panel).
-    for (int64_t i = 0; i < wh; ++i) {
-        float* ci = c + i * c_stride;
-        const float* trow = tile + i * bw;
-        for (int64_t l = 0; l < bw; ++l)
-            axpyBody(ci, brows[l], trow[l], n);
-    }
 }
 
 void
@@ -257,8 +145,7 @@ roundPanel(float* __restrict out, const float* __restrict in,
 Kernels
 makeTable(Isa isa)
 {
-    return Kernels{isa,      axpy,      axpyPrefetch,
-                   axpyDouble, tileInner, roundPanel};
+    return Kernels{isa, axpy, axpyPrefetch, axpyDouble, roundPanel};
 }
 
 } // namespace DTC_SIMD_NS

@@ -1,9 +1,8 @@
 /**
  * @file
  * Portable scalar backend of the SIMD dispatcher (DTC_SIMD=scalar and
- * the fallback on CPUs without AVX2).  Same loops as the PR 3 inline
- * engine micro-kernels, but routed through the dispatch table and
- * booking every element to the tail counter.
+ * the fallback on CPUs without AVX2): plain j-blocked loops, the
+ * baseline every vector backend must match bit for bit.
  */
 #define DTC_SIMD_BACKEND_SCALAR 1
 #define DTC_SIMD_NS scalar_impl

@@ -4,8 +4,8 @@
 
 #include "common/env.h"
 #include "common/error.h"
-#include "engine/engine.h"
 #include "engine/simd/tables.h"
+#include "obs/metrics.h"
 
 namespace dtc {
 namespace engine {
@@ -15,6 +15,8 @@ namespace {
 
 /** -1: no override; else the forced Isa of a ScopedSimdMode. */
 thread_local int tlsSimdOverride = -1;
+
+constexpr Isa kAllIsas[] = {Isa::Scalar, Isa::Avx2, Isa::Avx512};
 
 #if defined(DTC_SIMD_HAVE_X86)
 bool
@@ -37,85 +39,12 @@ cpuHasAvx512()
 }
 #endif
 
-/**
- * Parses a DTC_SIMD value.  Unknown strings raise
- * DtcError(InvalidInput) naming the variable (env.h convention).
- */
-Isa
-parseIsa(const std::string& s)
-{
-    if (s == "off")
-        return Isa::Off;
-    if (s == "scalar")
-        return Isa::Scalar;
-    if (s == "avx2")
-        return Isa::Avx2;
-    if (s == "avx512")
-        return Isa::Avx512;
-    DTC_RAISE(ErrorCode::InvalidInput,
-              "DTC_SIMD must be one of off|scalar|avx2|avx512, got \""
-                  << s << "\"");
-}
-
-// ---- The Off table: PR 3's inline loops, bypassing the dispatcher.
-// No element counters, no prefetch — bitwise (and observably)
-// identical to the engine before this backend existed.
-
-void
-offAxpy(float* c, const float* b, float v, int64_t n)
-{
-    engine::axpy(c, b, v, n);
-}
-
-void
-offAxpyPrefetch(float* c, const float* b, float v, int64_t n,
-                const float* /*next_b*/)
-{
-    engine::axpy(c, b, v, n);
-}
-
-void
-offAxpyDouble(double* acc, const float* b, double v, int64_t n)
-{
-    engine::axpyDouble(acc, b, v, n);
-}
-
-void
-offTileInner(float* c, int64_t c_stride, const float* tile,
-             const float* const* brows, int64_t wh, int64_t bw,
-             int64_t n)
-{
-    for (int64_t i = 0; i < wh; ++i) {
-        float* ci = c + i * c_stride;
-        const float* trow = tile + i * bw;
-        for (int64_t l = 0; l < bw; ++l)
-            engine::axpy(ci, brows[l], trow[l], n);
-    }
-}
-
-void
-offRoundPanel(float* out, const float* in, int64_t n, Precision p)
-{
-    for (int64_t i = 0; i < n; ++i)
-        out[i] = roundToPrecision(in[i], p);
-}
-
-const Kernels&
-offTable()
-{
-    static const Kernels k{Isa::Off,       offAxpy,      offAxpyPrefetch,
-                           offAxpyDouble, offTileInner, offRoundPanel};
-    return k;
-}
-
 } // namespace
 
 const char*
 isaName(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
-        return "off";
       case Isa::Scalar:
         return "scalar";
       case Isa::Avx2:
@@ -124,6 +53,15 @@ isaName(Isa isa)
         return "avx512";
     }
     return "?";
+}
+
+std::optional<Isa>
+isaFromName(const std::string& name)
+{
+    for (Isa isa : kAllIsas)
+        if (name == isaName(isa))
+            return isa;
+    return std::nullopt;
 }
 
 Isa
@@ -147,7 +85,6 @@ bool
 isaSupported(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
       case Isa::Scalar:
         return true;
       case Isa::Avx2:
@@ -166,13 +103,29 @@ isaSupported(Isa isa)
     return false;
 }
 
+std::vector<Isa>
+supportedIsas()
+{
+    std::vector<Isa> out;
+    for (Isa isa : kAllIsas)
+        if (isaSupported(isa))
+            out.push_back(isa);
+    return out;
+}
+
 Isa
 activeIsa()
 {
     if (tlsSimdOverride >= 0)
         return static_cast<Isa>(tlsSimdOverride);
     if (const auto s = env::readString("DTC_SIMD")) {
-        const Isa isa = parseIsa(*s);
+        const std::optional<Isa> parsed = isaFromName(*s);
+        // Unknown strings raise DtcError(InvalidInput) naming the
+        // variable (env.h convention).
+        DTC_CHECK_CODE(parsed, ErrorCode::InvalidInput,
+                       "DTC_SIMD must be one of scalar|avx2|avx512, "
+                       "got \"" << *s << "\"");
+        const Isa isa = *parsed;
         DTC_CHECK_CODE(isaSupported(isa), ErrorCode::InvalidInput,
                        "DTC_SIMD=" << *s
                                    << " requested but this build/CPU "
@@ -197,8 +150,6 @@ const Kernels&
 kernelsFor(Isa isa)
 {
     switch (isa) {
-      case Isa::Off:
-        return offTable();
       case Isa::Scalar:
         return detail::scalarTable();
       case Isa::Avx2:
@@ -228,23 +179,6 @@ kernels()
     static obs::Gauge& g = obs::metrics::gauge("engine.simd.isa");
     g.set(static_cast<double>(isa));
     return kernelsFor(isa);
-}
-
-SimdStats&
-stats()
-{
-    static SimdStats s{
-        obs::metrics::counter("engine.simd.vector_elems"),
-        obs::metrics::counter("engine.simd.tail_elems"),
-    };
-    return s;
-}
-
-void
-resetStats()
-{
-    stats().vectorElems.store(0, std::memory_order_relaxed);
-    stats().tailElems.store(0, std::memory_order_relaxed);
 }
 
 } // namespace simd

@@ -2,23 +2,18 @@
  * @file
  * Runtime-dispatched SIMD micro-kernel backend of the host engine.
  *
- * PR 3's engine reproduced the paper's *data movement* (flat lanes,
- * dense 16x8 tiles, pre-rounded column panels) but executed every
- * FLOP through scalar j-block loops — the host had the layout half of
- * DTC-SpMM without the MMA half.  This module is that compute tier: a
- * small table of register-blocked micro-kernels (axpy, residue-lane
- * axpy with software prefetch, double-accumulation axpy, the dense
- * windowHeight x blockWidth tile inner product, and the PreparedDense
+ * A small table of micro-kernels (axpy, residue-lane axpy with
+ * software prefetch, double-accumulation axpy, and the PreparedDense
  * precision-rounding pass), each implemented per ISA:
  *
- *   - scalar  — portable fallback, same loops as PR 3;
+ *   - scalar  — portable baseline every backend is compared with;
  *   - avx2    — 8-wide __m256 (compiled with -mavx2);
  *   - avx512  — 16-wide __m512 with an 8-wide remainder step
  *               (compiled with -mavx512{f,dq,bw,vl}).
  *
  * Bitwise identity is a hard contract: every backend performs, per
  * output element, the exact FP32 operation sequence of the scalar
- * path — separate multiply then add (the per-ISA translation units
+ * backend — separate multiply then add (the per-ISA translation units
  * are compiled with -ffp-contract=off so no FMA contraction can merge
  * them) and ascending-j, ascending-lane accumulation order.
  * Vectorizing across the j (column) dimension is order-preserving
@@ -26,45 +21,48 @@
  *
  * Dispatch resolution, strongest first: an active ScopedSimdMode on
  * the calling thread, the typed DTC_SIMD environment knob
- * (off|scalar|avx2|avx512 — anything else, or an ISA the CPU lacks,
- * raises DtcError(InvalidInput)), then cpuid auto-detection.  "off"
- * bypasses the dispatcher entirely (PR 3's inline loops, no
- * counters); "scalar" selects the dispatcher's portable backend.
+ * (scalar|avx2|avx512 — anything else, or an ISA the CPU lacks,
+ * raises DtcError(InvalidInput)), then cpuid auto-detection.
  *
  * Observability: the selected ISA is published as the
- * "engine.simd.isa" gauge, and every dispatched call splits its
- * elements into "engine.simd.vector_elems" / "engine.simd.tail_elems"
- * counters.  The split is *defined* against the fixed 8-wide j-block
- * (vector = n - n%8, tail = n%8) rather than the physical lane count,
- * so an AVX-512 host and an AVX2 host report identical counters and
- * bench_compare can gate them exactly across machines.
+ * "engine.simd.isa" gauge.
  */
 #ifndef DTC_ENGINE_SIMD_SIMD_H
 #define DTC_ENGINE_SIMD_SIMD_H
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/precision.h"
-#include "obs/metrics.h"
 
 namespace dtc {
 namespace engine {
 namespace simd {
 
-/** Backend selector.  Order matters: later entries are wider ISAs. */
+/**
+ * Backend selector.  Order matters: later entries are wider ISAs.
+ * The values are what the "engine.simd.isa" gauge publishes.
+ */
 enum class Isa
 {
-    Off,    ///< Bypass the dispatcher (the PR 3 inline loops).
-    Scalar, ///< Portable dispatcher backend (counts elements).
-    Avx2,   ///< 8-wide __m256.
-    Avx512, ///< 16-wide __m512 (+ 8-wide remainder step).
+    Scalar = 1, ///< Portable baseline.
+    Avx2 = 2,   ///< 8-wide __m256.
+    Avx512 = 3, ///< 16-wide __m512 (+ 8-wide remainder step).
 };
 
-/** Display name: "off", "scalar", "avx2", "avx512". */
+/** Display name: "scalar", "avx2", "avx512". */
 const char* isaName(Isa isa);
 
-/** Widest ISA this CPU supports (never Off; cached after first call). */
+/** Inverse of isaName(); nullopt for any other string. */
+std::optional<Isa> isaFromName(const std::string& name);
+
+/** Widest ISA this CPU supports (cached after the first call). */
 Isa detectedIsa();
+
+/** Every ISA this build + CPU can execute, Scalar first. */
+std::vector<Isa> supportedIsas();
 
 /** True when this build + CPU can execute @p isa. */
 bool isaSupported(Isa isa);
@@ -78,7 +76,7 @@ bool isaSupported(Isa isa);
  */
 Isa activeIsa();
 
-/** RAII thread-local ISA override (mirrors ScopedEngineMode). */
+/** RAII thread-local ISA override (mirrors ScopedNumThreads). */
 class ScopedSimdMode
 {
   public:
@@ -114,29 +112,13 @@ struct Kernels
     void (*axpyPrefetch)(float* c, const float* b, float v, int64_t n,
                          const float* next_b);
 
-    /** acc[0..n) += v * (double)b[0..n) (referenceSpmm). */
+    /** acc[0..n) += v * (double)b[0..n) (spmmCsrDoubleAcc). */
     void (*axpyDouble)(double* acc, const float* b, double v,
                        int64_t n);
 
     /**
-     * Dense-tile inner product, the host analog of one m16n8k8 MMA:
-     * for every tile row i in [0, wh) and column j in [0, n),
-     *   c[i*c_stride + j] += sum over l in [0, bw) of
-     *                        tile[i*bw + l] * brows[l][j],
-     * accumulated in ascending-l order per element (bitwise identical
-     * to bw successive axpy calls).  @p brows holds the bw B-row
-     * pointers, already offset to the current column panel.
-     */
-    void (*tileInner)(float* c, int64_t c_stride, const float* tile,
-                      const float* const* brows, int64_t wh,
-                      int64_t bw, int64_t n);
-
-    /**
      * out[0..n) = roundToPrecision(in[0..n), p) — the PreparedDense
-     * round-to-storage pass.  Does NOT bump the simd element
-     * counters: its chunk sizes depend on parallelFor decomposition,
-     * so the caller counts once per whole pass instead (keeping
-     * counter totals independent of thread count).
+     * round-to-storage pass.
      */
     void (*roundPanel)(float* out, const float* in, int64_t n,
                        Precision p);
@@ -150,22 +132,6 @@ const Kernels& kernels();
  * backend is not compiled into this build or the CPU lacks it.
  */
 const Kernels& kernelsFor(Isa isa);
-
-/**
- * Element counters, backed by the metrics registry under
- * "engine.simd.vector_elems" / "engine.simd.tail_elems".  Defined
- * against the fixed 8-wide j-block regardless of physical ISA width
- * (see file comment); the scalar backend counts everything as tail;
- * the Off table counts nothing.
- */
-struct SimdStats
-{
-    obs::Counter& vectorElems;
-    obs::Counter& tailElems;
-};
-
-SimdStats& stats();
-void resetStats();
 
 } // namespace simd
 } // namespace engine

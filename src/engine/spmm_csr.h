@@ -1,9 +1,9 @@
 /**
  * @file
  * Engine drivers for CSR-shaped SpMM — the panel-tiled, pre-rounded
- * hot loops behind the reference, cuSPARSE-like, TCGNN and
- * Sputnik-like kernels (anything that walks row -> nonzeros ->
- * N-wide B row).
+ * hot loops behind the cuSPARSE-like, TCGNN and Sputnik-like kernels
+ * (anything that walks row -> nonzeros -> N-wide B row) and the
+ * runtime's terminal double-accumulation fallback.
  *
  * Loop structure (per parallelFor chunk of rows):
  *
@@ -14,7 +14,8 @@
  *
  * Panel tiling only reorders work across *distinct* output columns;
  * for any single C element the nonzeros are applied in exactly the
- * CSR order the scalar loops use, so outputs are bitwise identical.
+ * CSR order the naive reference (kernels/reference.h) uses, so
+ * outputs are bitwise identical to it.
  * B comes from PreparedDense (rounded once); A values are rounded
  * inline per panel — O(nnz * N/panel), negligible next to the
  * O(nnz*N) B-rounding this replaces.
@@ -43,6 +44,7 @@ void spmmCsrRounded(int64_t rows, const int64_t* row_ptr,
 /**
  * C = A * B with double accumulation rounded to float at the end
  * (the referenceSpmm numerics).  Every element of @p c is written.
+ * Polls the calling thread's deadline once per (row chunk, panel).
  */
 void spmmCsrDoubleAcc(int64_t rows, const int64_t* row_ptr,
                       const int32_t* col_idx, const float* vals,

@@ -23,16 +23,13 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
     auto ea = [&](int64_t i, int64_t j) {
         return transpose_a ? a.at(j, i) : a.at(i, j);
     };
-    auto eb = [&](int64_t i, int64_t j) {
-        return transpose_b ? b.at(j, i) : b.at(i, j);
-    };
 
     c.setZero();
-    if (engine::enabled() && !transpose_b) {
-        // Engine path: eb(kk, j) is contiguous B row kk, so the inner
-        // loop is the same restrict/j-blocked axpy the SpMM kernels
-        // use, panel-tiled over N.  Per C element the kk order (and
-        // the av == 0 skip) is unchanged — bitwise-identical output.
+    // i-k-j loop order: per C element the products are added in
+    // ascending kk, skipping zero A entries, on both paths below.
+    if (!transpose_b) {
+        // B row kk is contiguous, so the inner loop is the same SIMD
+        // axpy the SpMM kernels use, panel-tiled over N.
         const engine::simd::Kernels& K = engine::simd::kernels();
         const int64_t pw = engine::panelCols(n);
         for (int64_t j0 = 0; j0 < n; j0 += pw) {
@@ -49,8 +46,7 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
         }
         return;
     }
-    // i-k-j loop order keeps the inner loop streaming over C and B
-    // rows (cache friendly for the common non-transposed case).
+    // Transposed B: B(kk, j) = b.at(j, kk) is strided, so a plain loop.
     for (int64_t i = 0; i < m; ++i) {
         float* crow = c.row(i);
         for (int64_t kk = 0; kk < k; ++kk) {
@@ -58,7 +54,7 @@ gemm(const DenseMatrix& a, bool transpose_a, const DenseMatrix& b,
             if (av == 0.0f)
                 continue;
             for (int64_t j = 0; j < n; ++j)
-                crow[j] += av * eb(kk, j);
+                crow[j] += av * b.at(j, kk);
         }
     }
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "engine/engine.h"
 #include "engine/spmm_csr.h"
 #include "kernels/b_traffic.h"
 
@@ -28,28 +26,9 @@ CuSparseKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     DTC_CHECK(ready);
     DTC_CHECK(mat.cols() == b.rows());
     DTC_CHECK(c.rows() == mat.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        engine::spmmCsrRounded(mat.rows(), mat.rowPtr().data(),
-                               mat.colIdx().data(),
-                               mat.values().data(), Precision::Fp32,
-                               b, c, 64);
-        return;
-    }
-    const int64_t n = b.cols();
-    c.setZero();
-    // Row-parallel: each chunk writes a disjoint slice of C.
-    parallelFor(0, mat.rows(), 64, [&](int64_t r_lo, int64_t r_hi) {
-        for (int64_t r = r_lo; r < r_hi; ++r) {
-            float* crow = c.row(r);
-            for (int64_t k = mat.rowPtr()[r]; k < mat.rowPtr()[r + 1];
-                 ++k) {
-                const float v = mat.values()[k];
-                const float* brow = b.row(mat.colIdx()[k]);
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += v * brow[j];
-            }
-        }
-    });
+    engine::spmmCsrRounded(mat.rows(), mat.rowPtr().data(),
+                           mat.colIdx().data(), mat.values().data(),
+                           Precision::Fp32, b, c, 64);
 }
 
 LaunchResult

@@ -96,27 +96,20 @@ class DtcKernel : public SpmmKernel
     /** Selector decision this kernel would make on @p arch. */
     SelectorDecision decide(const ArchSpec& arch) const;
 
+  private:
     /**
      * The engine's Index-Precomputing analog, built once in
      * prepare(): every (localId, sparseAtoB) pair expanded into flat
      * (C row, B row, pre-rounded value) lanes in ME-TCF nonzero
-     * order, plus pre-expanded dense 16x8 tiles for fully-occupied
-     * TC blocks (the expandBlock micro-kernel path).
+     * order.
      */
     struct FlatLanes
     {
         AlignedVector<int32_t> row;  ///< C row per nonzero.
         AlignedVector<int32_t> col;  ///< B row per nonzero.
         AlignedVector<float> val;    ///< Value in operand precision.
-        /** Per TC block: index into denseTiles, or -1 (sparse path). */
-        AlignedVector<int64_t> denseTileOf;
-        /** Rounded windowHeight x blockWidth tiles, tile-major. */
-        AlignedVector<float> denseTiles;
     };
 
-    const FlatLanes& flatLanes() const { return lanes; }
-
-  private:
     LaunchResult costBase(int64_t n, const CostModel& cm) const;
     LaunchResult costBalanced(int64_t n, const CostModel& cm) const;
 

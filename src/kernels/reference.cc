@@ -4,9 +4,6 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/tf32.h"
-#include "engine/engine.h"
-#include "engine/spmm_csr.h"
 
 namespace dtc {
 
@@ -22,12 +19,6 @@ referenceSpmm(const CsrMatrix& a, const DenseMatrix& b, DenseMatrix& c)
 {
     DTC_CHECK(a.cols() == b.rows());
     DTC_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        engine::spmmCsrDoubleAcc(a.rows(), a.rowPtr().data(),
-                                 a.colIdx().data(), a.values().data(),
-                                 b, c, kRowGrain);
-        return;
-    }
     const int64_t n = b.cols();
     parallelFor(0, a.rows(), kRowGrain,
                 [&](int64_t r_lo, int64_t r_hi) {
@@ -54,12 +45,6 @@ referenceSpmmRounded(const CsrMatrix& a, const DenseMatrix& b,
 {
     DTC_CHECK(a.cols() == b.rows());
     DTC_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        engine::spmmCsrRounded(a.rows(), a.rowPtr().data(),
-                               a.colIdx().data(), a.values().data(),
-                               p, b, c, kRowGrain);
-        return;
-    }
     const int64_t n = b.cols();
     c.setZero();
     const bool round_a = p != Precision::Fp32;
@@ -77,35 +62,6 @@ referenceSpmmRounded(const CsrMatrix& a, const DenseMatrix& b,
                     crow[j] += v * (round_a
                                         ? roundToPrecision(brow[j], p)
                                         : brow[j]);
-            }
-        }
-    });
-}
-
-void
-referenceSpmmTf32(const CsrMatrix& a, const DenseMatrix& b,
-                  DenseMatrix& c)
-{
-    DTC_CHECK(a.cols() == b.rows());
-    DTC_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        engine::spmmCsrRounded(a.rows(), a.rowPtr().data(),
-                               a.colIdx().data(), a.values().data(),
-                               Precision::Tf32, b, c, kRowGrain);
-        return;
-    }
-    const int64_t n = b.cols();
-    c.setZero();
-    parallelFor(0, a.rows(), kRowGrain,
-                [&](int64_t r_lo, int64_t r_hi) {
-        for (int64_t r = r_lo; r < r_hi; ++r) {
-            float* crow = c.row(r);
-            for (int64_t k = a.rowPtr()[r]; k < a.rowPtr()[r + 1];
-                 ++k) {
-                const float v = tf32Round(a.values()[k]);
-                const float* brow = b.row(a.colIdx()[k]);
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += v * tf32Round(brow[j]);
             }
         }
     });

@@ -8,7 +8,13 @@
  * FP32 accumulation in per-row ascending-column order — the exact
  * numerics of every kernel in the registry except SparTA — so kernels
  * can be checked for bit-level agreement rather than tolerance.
- * referenceSpmmTf32 is the paper-precision shorthand.
+ *
+ * Both are naive row-parallel loops that round each operand where it
+ * is used.  They share no code with the host engine (src/engine/), so
+ * a bug in its B rounding, panel tiling or SIMD backends cannot hide
+ * by appearing on both sides of a comparison.  They are slow by
+ * design: serving paths that need the double-accumulation numerics
+ * call engine::spmmCsrDoubleAcc instead.
  */
 #ifndef DTC_KERNELS_REFERENCE_H
 #define DTC_KERNELS_REFERENCE_H
@@ -29,10 +35,6 @@ void referenceSpmm(const CsrMatrix& a, const DenseMatrix& b,
  */
 void referenceSpmmRounded(const CsrMatrix& a, const DenseMatrix& b,
                           DenseMatrix& c, Precision p);
-
-/** C = A * B with TF32 operand rounding and FP32 accumulation. */
-void referenceSpmmTf32(const CsrMatrix& a, const DenseMatrix& b,
-                       DenseMatrix& c);
 
 /**
  * Analytic per-row error bound for one SpMM output row vs the

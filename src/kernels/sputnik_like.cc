@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "engine/engine.h"
 #include "engine/spmm_csr.h"
 #include "kernels/b_traffic.h"
 
@@ -42,28 +41,12 @@ SputnikKernel::compute(const DenseMatrix& b, DenseMatrix& c) const
     DTC_CHECK(ready);
     DTC_CHECK(mat.cols() == b.rows());
     DTC_CHECK(c.rows() == mat.rows() && c.cols() == b.cols());
-    if (engine::enabled()) {
-        // The swizzle only changes scheduling: every row writes a
-        // disjoint C slab, so natural row order (and row-parallel
-        // chunks) is bitwise-identical to the swizzled serial walk.
-        engine::spmmCsrRounded(mat.rows(), mat.rowPtr().data(),
-                               mat.colIdx().data(),
-                               mat.values().data(), Precision::Fp32,
-                               b, c, 64);
-        return;
-    }
-    const int64_t n = b.cols();
-    c.setZero();
-    // Swizzle changes scheduling, not math: results match row order.
-    for (int32_t r : swizzle) {
-        float* crow = c.row(r);
-        for (int64_t k = mat.rowPtr()[r]; k < mat.rowPtr()[r + 1]; ++k) {
-            const float v = mat.values()[k];
-            const float* brow = b.row(mat.colIdx()[k]);
-            for (int64_t j = 0; j < n; ++j)
-                crow[j] += v * brow[j];
-        }
-    }
+    // The swizzle only changes scheduling: every row writes a
+    // disjoint C slab, so natural row order (and row-parallel chunks)
+    // computes the same bits as a swizzled walk.  cost() models it.
+    engine::spmmCsrRounded(mat.rows(), mat.rowPtr().data(),
+                           mat.colIdx().data(), mat.values().data(),
+                           Precision::Fp32, b, c, 64);
 }
 
 LaunchResult

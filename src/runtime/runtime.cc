@@ -10,7 +10,7 @@
 #include "common/env.h"
 #include "common/fault.h"
 #include "common/fault_sites.h"
-#include "kernels/reference.h"
+#include "engine/spmm_csr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -18,6 +18,9 @@ namespace dtc {
 namespace runtime {
 
 namespace {
+
+/** Rows per parallelFor chunk of the reference fallback. */
+constexpr int64_t kFallbackRowGrain = 64;
 
 /** True for failure codes worth retrying on the same kernel. */
 bool
@@ -253,12 +256,16 @@ Runtime::run(const DenseMatrix& b, DenseMatrix& c, RunReport* report)
     }
 
     // Every registry kernel failed (or none was supported): the
-    // double-accumulation reference is the terminal authority.  It
-    // still honours the deadline via parallelFor/engine polls.
+    // double-accumulation numerics of referenceSpmm are the terminal
+    // authority, computed on the engine driver (the naive reference
+    // is an oracle, too slow to serve).  It still honours the
+    // deadline via its parallelFor/panel polls.
     {
         DTC_TRACE_SCOPE("runtime.reference_fallback");
         obs::metrics::counter("runtime.reference_fallbacks").add(1);
-        referenceSpmm(a, b, c);
+        engine::spmmCsrDoubleAcc(a.rows(), a.rowPtr().data(),
+                                 a.colIdx().data(), a.values().data(),
+                                 b, c, kFallbackRowGrain);
         ++rep.attempts;
         rep.kernel = "reference(double)";
         rep.usedReferenceFallback = true;

@@ -38,8 +38,8 @@ artifactStem(StructureFamily family, uint64_t seed,
     std::ostringstream os;
     os << structureFamilyName(family) << "-s" << seed << "-k"
        << static_cast<int>(o.kind) << "-" << precisionName(o.precision)
-       << "-e" << (o.engineOn ? 1 : 0) << "-v" << (o.simdOn ? 1 : 0)
-       << "-t" << o.threads;
+       << "-" << engine::simd::isaName(o.isa) << "-t"
+       << o.threads;
     return os.str();
 }
 
@@ -88,8 +88,8 @@ FuzzStats::summary() const
 {
     std::ostringstream os;
     os << cases << " cases, " << combos << " combos (" << passes
-       << " pass, " << refusals << " refused, " << skips
-       << " skipped), " << properties << " properties, " << faultRuns
+       << " pass, " << refusals << " refused), " << properties
+       << " properties, " << faultRuns
        << " fault runs, " << failures << " failures";
     return os.str();
 }
@@ -116,7 +116,6 @@ fuzzOneCase(StructureFamily family, uint64_t seed,
     stats.combos = report.combos();
     stats.passes = report.passes;
     stats.refusals = report.refusals;
-    stats.skips = report.skips;
     stats.failures = report.failures;
     if (report.ok()) {
         logLine(opt, c.label + ": " + report.summary());
@@ -126,17 +125,16 @@ fuzzOneCase(StructureFamily family, uint64_t seed,
     // Shrink the first failing combo and dump a replayable artifact.
     const OracleOutcome& f = *report.firstFailure();
     const auto predicate = [&](const CsrMatrix& m) {
-        return comboFails(f.kind, f.precision, f.engineOn, f.simdOn,
-                          f.threads, m, c.denseWidth, c.seed,
-                          opt.oracle.toleranceSafety);
+        return comboFails(f.kind, f.precision, f.isa, f.threads, m,
+                          c.denseWidth, c.seed, opt.oracle.toleranceSafety);
     };
     const ShrinkResult shrunk =
         shrinkMatrix(c.a, predicate, opt.shrinkEvaluations);
 
     std::string fresh_detail;
-    comboFails(f.kind, f.precision, f.engineOn, f.simdOn, f.threads,
-               shrunk.matrix, c.denseWidth, c.seed,
-               opt.oracle.toleranceSafety, &fresh_detail);
+    comboFails(f.kind, f.precision, f.isa, f.threads, shrunk.matrix,
+               c.denseWidth, c.seed, opt.oracle.toleranceSafety,
+               &fresh_detail);
 
     std::ostringstream line;
     line << c.label << ": " << f.describe() << " | shrunk to "
@@ -153,8 +151,7 @@ fuzzOneCase(StructureFamily family, uint64_t seed,
         info.scale = opt.scale;
         info.kind = f.kind;
         info.precision = f.precision;
-        info.engineOn = f.engineOn;
-        info.simdOn = f.simdOn;
+        info.isa = f.isa;
         info.threads = f.threads;
         info.denseWidth = c.denseWidth;
         info.denseSeed = c.seed;

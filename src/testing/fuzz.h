@@ -67,7 +67,6 @@ struct FuzzStats
     int64_t combos = 0;   ///< Oracle combos executed.
     int64_t passes = 0;
     int64_t refusals = 0;
-    int64_t skips = 0;
     int64_t properties = 0; ///< Metamorphic checks executed.
     int64_t faultRuns = 0;  ///< Fault-injection runs executed.
     int64_t failures = 0;   ///< Oracle + property + fault failures.
@@ -86,7 +85,6 @@ struct FuzzStats
         combos += other.combos;
         passes += other.passes;
         refusals += other.refusals;
-        skips += other.skips;
         properties += other.properties;
         faultRuns += other.faultRuns;
         failures += other.failures;

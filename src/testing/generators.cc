@@ -112,8 +112,7 @@ genBlockDense(Rng& rng, int scale)
     const int64_t n = baseDim(scale, rng);
     CooMatrix coo(n, n);
     // Dense blocks whose origins straddle the 16x8 TC grid (offsets
-    // chosen off-alignment) — some blocks 100% full so the DTC dense
-    // tile path runs, some partial.
+    // chosen off-alignment) — some blocks 100% full, some partial.
     const int64_t blocks = std::max<int64_t>(2, n / 40);
     for (int64_t bIdx = 0; bIdx < blocks; ++bIdx) {
         const int64_t h = rng.nextInt(8, 24);

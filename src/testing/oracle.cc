@@ -9,8 +9,6 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "engine/engine.h"
-#include "engine/simd/simd.h"
 #include "gpusim/arch.h"
 #include "gpusim/cost_model.h"
 #include "kernels/reference.h"
@@ -31,8 +29,8 @@ floatBits(float x)
 /**
  * Per-case precomputed references: the double-accumulation ground
  * truth, per-row |A| sums for the error bound, and lazily one rounded
- * reference per precision (engine and thread count do not change these
- * bits — the equivalence suite pins both paths to identity).
+ * reference per precision.  The references are the naive loops of
+ * kernels/reference.h, so no combo's ISA or thread count reaches them.
  */
 struct CaseRefs
 {
@@ -124,27 +122,17 @@ judgeAgainst(CaseRefs& refs, const DenseMatrix& got, Precision p,
 
 OracleOutcome
 judgeCombo(CaseRefs& refs, KernelKind kind, Precision p,
-           bool engine_on, bool simd_on, int threads,
-           const OracleConfig& cfg)
+           engine::simd::Isa isa, int threads, const OracleConfig& cfg)
 {
     OracleOutcome out;
     out.kind = kind;
     out.precision = p;
-    out.engineOn = engine_on;
-    out.simdOn = simd_on;
+    out.isa = isa;
     out.threads = threads;
 
     std::unique_ptr<SpmmKernel> kernel = makeKernelAt(kind, p);
-    if (!kernel) {
-        out.status = OracleOutcome::Status::Skipped;
-        out.detail = "combo not expressible";
-        return out;
-    }
-
-    engine::ScopedEngineMode em(engine_on);
-    engine::simd::ScopedSimdMode sm(simd_on
-                                        ? engine::simd::detectedIsa()
-                                        : engine::simd::Isa::Off);
+    DTC_CHECK(kernel != nullptr);
+    engine::simd::ScopedSimdMode sm(isa);
     ScopedNumThreads nt(threads);
     try {
         const Refusal r = kernel->prepare(refs.a);
@@ -190,14 +178,13 @@ judgeCombo(CaseRefs& refs, KernelKind kind, Precision p,
 } // namespace
 
 OracleConfig
-OracleConfig::single(KernelKind kind, Precision p, bool engine_on,
-                     bool simd_on, int threads)
+OracleConfig::single(KernelKind kind, Precision p,
+                     engine::simd::Isa isa, int threads)
 {
     OracleConfig cfg;
     cfg.kernels = {kind};
     cfg.precisions = {p};
-    cfg.engineModes = {engine_on};
-    cfg.simdModes = {simd_on};
+    cfg.isas = {isa};
     cfg.threadCounts = {threads};
     return cfg;
 }
@@ -207,8 +194,7 @@ OracleOutcome::describe() const
 {
     std::ostringstream os;
     os << kernelKindName(kind) << " @" << precisionName(precision)
-       << " engine=" << (engineOn ? "on" : "off")
-       << " simd=" << (simdOn ? "on" : "off") << " threads="
+       << " isa=" << engine::simd::isaName(isa) << " threads="
        << threads;
     switch (status) {
       case Status::Pass:
@@ -216,9 +202,6 @@ OracleOutcome::describe() const
         break;
       case Status::Refused:
         os << ": refused";
-        break;
-      case Status::Skipped:
-        os << ": skipped";
         break;
       case Status::Failed:
         os << ": FAILED";
@@ -243,8 +226,7 @@ OracleReport::summary() const
 {
     std::ostringstream os;
     os << combos() << " combos: " << passes << " pass, " << refusals
-       << " refused, " << skips << " skipped, " << failures
-       << " FAILED";
+       << " refused, " << failures << " FAILED";
     return os.str();
 }
 
@@ -271,44 +253,40 @@ runOracle(const OracleCase& c, const OracleConfig& cfg)
 
     OracleReport report;
     for (KernelKind kind : kinds)
-        for (Precision p : cfg.precisions)
-            for (bool engine_on : cfg.engineModes)
-                for (bool simd_on : cfg.simdModes)
-                    for (int threads : cfg.threadCounts) {
-                        OracleOutcome out =
-                            judgeCombo(refs, kind, p, engine_on,
-                                       simd_on, threads, cfg);
-                        switch (out.status) {
-                          case OracleOutcome::Status::Pass:
-                            ++report.passes;
-                            break;
-                          case OracleOutcome::Status::Refused:
-                            ++report.refusals;
-                            break;
-                          case OracleOutcome::Status::Skipped:
-                            ++report.skips;
-                            break;
-                          case OracleOutcome::Status::Failed:
-                            ++report.failures;
-                            break;
-                        }
-                        report.outcomes.push_back(std::move(out));
+        for (Precision p : cfg.precisions) {
+            if (!kernelSupportsPrecision(kind, p))
+                continue;
+            for (engine::simd::Isa isa : cfg.isas)
+                for (int threads : cfg.threadCounts) {
+                    OracleOutcome out = judgeCombo(refs, kind, p, isa,
+                                                   threads, cfg);
+                    switch (out.status) {
+                      case OracleOutcome::Status::Pass:
+                        ++report.passes;
+                        break;
+                      case OracleOutcome::Status::Refused:
+                        ++report.refusals;
+                        break;
+                      case OracleOutcome::Status::Failed:
+                        ++report.failures;
+                        break;
                     }
+                    report.outcomes.push_back(std::move(out));
+                }
+        }
     return report;
 }
 
 bool
-comboFails(KernelKind kind, Precision p, bool engine_on, bool simd_on,
+comboFails(KernelKind kind, Precision p, engine::simd::Isa isa,
            int threads, const CsrMatrix& a, int64_t dense_width,
-           uint64_t seed, double tolerance_safety,
-           std::string* detail)
+           uint64_t seed, double tolerance_safety, std::string* detail)
 {
     OracleCase c;
     c.a = a;
     c.denseWidth = dense_width;
     c.seed = seed;
-    OracleConfig cfg =
-        OracleConfig::single(kind, p, engine_on, simd_on, threads);
+    OracleConfig cfg = OracleConfig::single(kind, p, isa, threads);
     cfg.toleranceSafety = tolerance_safety;
     const OracleReport report = runOracle(c, cfg);
     const OracleOutcome* failure = report.firstFailure();

@@ -4,10 +4,10 @@
  *
  * One judgement procedure for every kernel in the registry, swept
  * across the axes that have historically hidden bugs: operand
- * precision (Fp32/Tf32/Bf16/Fp16), engine on/off (ScopedEngineMode),
- * SIMD on/off (ScopedSimdMode — detected ISA vs dispatcher bypass)
- * and thread count (ScopedNumThreads).  For each expressible combo the
- * kernel either
+ * precision (every one kernelSupportsPrecision accepts for the
+ * kernel), SIMD backend (ScopedSimdMode — the scalar baseline plus
+ * every ISA the host supports) and thread count (ScopedNumThreads).
+ * Every enumerated combo runs.  The kernel either
  *
  *   - refuses the input with a structured Refusal (a PASS — refusing
  *     is modeled baseline behaviour, per the paper's Table 4), or
@@ -15,6 +15,9 @@
  *     per-row error bound of the double-accumulation reference and
  *     (b) for every kernel whose traits declare bitExactRounded,
  *     matches referenceSpmmRounded bit for bit.
+ *
+ * Both references are the naive loops of kernels/reference.h, which
+ * share no code with the engine the kernels run on.
  *
  * Anything else — an exception, a wrong value, a mis-sized output — is
  * a FAILURE the fuzz driver hands to the shrinker.
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/precision.h"
+#include "engine/simd/simd.h"
 #include "kernels/kernel.h"
 #include "matrix/csr.h"
 #include "matrix/dense.h"
@@ -54,15 +58,12 @@ struct OracleConfig
                                          Precision::Bf16,
                                          Precision::Fp16};
 
-    std::vector<bool> engineModes = {true, false};
-
     /**
-     * SIMD dispatcher sweep: true pins the detected ISA backend,
-     * false bypasses the dispatcher entirely (Isa::Off — the
-     * pre-SIMD inline loops).  Bitwise identity between the two is
+     * SIMD backends to run each kernel on: the scalar baseline plus
+     * every ISA the host supports.  Bitwise identity across them is
      * part of the conformance contract.
      */
-    std::vector<bool> simdModes = {true, false};
+    std::vector<engine::simd::Isa> isas = engine::simd::supportedIsas();
 
     std::vector<int> threadCounts = {1, 4, 8};
 
@@ -77,30 +78,27 @@ struct OracleConfig
 
     /** Narrows every axis to one value — the shrinker's view. */
     static OracleConfig single(KernelKind kind, Precision p,
-                               bool engine_on, bool simd_on,
-                               int threads);
+                               engine::simd::Isa isa, int threads);
 };
 
-/** Verdict for one (kernel, precision, engine, simd, threads) combo. */
+/** Verdict for one (kernel, precision, isa, threads) combo. */
 struct OracleOutcome
 {
     enum class Status
     {
         Pass,    ///< Computed and matched the reference.
         Refused, ///< Structured Refusal — counted as conforming.
-        Skipped, ///< Combo not expressible (makeKernelAt == nullptr).
         Failed,  ///< Wrong answer, mis-sized output, or exception.
     };
 
     KernelKind kind = KernelKind::CuSparse;
     Precision precision = Precision::Fp32;
-    bool engineOn = true;
-    bool simdOn = true;
+    engine::simd::Isa isa = engine::simd::Isa::Scalar;
     int threads = 1;
     Status status = Status::Pass;
     std::string detail; ///< Refusal reason / failure description.
 
-    /** "Flash-LLM(v1) @tf32 engine=on simd=on threads=4: ..." */
+    /** "Flash-LLM(v1) @TF32 isa=avx2 threads=4: ..." */
     std::string describe() const;
 };
 
@@ -110,7 +108,6 @@ struct OracleReport
     std::vector<OracleOutcome> outcomes;
     int64_t passes = 0;
     int64_t refusals = 0;
-    int64_t skips = 0;
     int64_t failures = 0;
 
     int64_t combos() const
@@ -123,15 +120,17 @@ struct OracleReport
     /** First failing outcome, or nullptr when ok(). */
     const OracleOutcome* firstFailure() const;
 
-    /** One-line tally, e.g. "112 combos: 64 pass, 40 refused, ...". */
+    /** One-line tally, e.g. "112 combos: 72 pass, 40 refused, 0 FAILED". */
     std::string summary() const;
 };
 
 /**
- * Runs every configured combo against @p c.  Deterministic: the same
- * (case, config) always yields the same report.  Never throws for
- * kernel misbehaviour (that becomes a Failed outcome); throws only for
- * harness-level misuse (e.g. denseWidth < 0).
+ * Runs every configured combo against @p c: each (kernel, precision)
+ * pair kernelSupportsPrecision accepts, on every configured ISA and
+ * thread count.  Deterministic: the same (case, config) always yields
+ * the same report.  Never throws for kernel misbehaviour (that
+ * becomes a Failed outcome); throws only for harness-level misuse
+ * (e.g. denseWidth < 0).
  */
 OracleReport runOracle(const OracleCase& c, const OracleConfig& cfg);
 
@@ -140,10 +139,9 @@ OracleReport runOracle(const OracleCase& c, const OracleConfig& cfg);
  * FAILS — the predicate shape the shrinker consumes.  @p detail, when
  * non-null, receives the failure description (empty on pass).
  */
-bool comboFails(KernelKind kind, Precision p, bool engine_on,
-                bool simd_on, int threads, const CsrMatrix& a,
-                int64_t dense_width, uint64_t seed,
-                double tolerance_safety = 8.0,
+bool comboFails(KernelKind kind, Precision p, engine::simd::Isa isa,
+                int threads, const CsrMatrix& a, int64_t dense_width,
+                uint64_t seed, double tolerance_safety = 8.0,
                 std::string* detail = nullptr);
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/check.h"
@@ -150,6 +151,16 @@ kernelKindFromNameOrThrow(const std::string& name)
               "unknown kernel in artifact: " << name);
 }
 
+engine::simd::Isa
+isaFromNameOrThrow(const std::string& name)
+{
+    const std::optional<engine::simd::Isa> isa =
+        engine::simd::isaFromName(name);
+    DTC_CHECK_CODE(isa, ErrorCode::InvalidInput,
+                   "unknown isa in artifact: " << name);
+    return *isa;
+}
+
 /** Replaces newlines so the detail fits one sidecar line. */
 std::string
 oneLine(std::string s)
@@ -265,8 +276,7 @@ writeFailureArtifact(const std::string& dir, const std::string& stem,
       << "scale " << info.scale << "\n"
       << "kernel " << kernelKindName(info.kind) << "\n"
       << "precision " << precisionName(info.precision) << "\n"
-      << "engineOn " << (info.engineOn ? 1 : 0) << "\n"
-      << "simdOn " << (info.simdOn ? 1 : 0) << "\n"
+      << "isa " << engine::simd::isaName(info.isa) << "\n"
       << "threads " << info.threads << "\n"
       << "denseWidth " << info.denseWidth << "\n"
       << "denseSeed " << info.denseSeed << "\n"
@@ -310,10 +320,8 @@ loadFailureArtifact(const std::string& case_path)
                 out.info.kind = kernelKindFromNameOrThrow(rest);
             else if (key == "precision")
                 precisionFromNameOrThrow(rest, &out.info.precision);
-            else if (key == "engineOn")
-                out.info.engineOn = std::stoi(rest) != 0;
-            else if (key == "simdOn")
-                out.info.simdOn = std::stoi(rest) != 0;
+            else if (key == "isa")
+                out.info.isa = isaFromNameOrThrow(rest);
             else if (key == "threads")
                 out.info.threads = std::stoi(rest);
             else if (key == "denseWidth")
@@ -365,8 +373,10 @@ loadFailureArtifact(const std::string& case_path)
 bool
 replayArtifact(const LoadedArtifact& artifact, std::string* detail)
 {
+    // Raises InvalidInput when this host cannot run the recorded ISA.
+    (void)engine::simd::kernelsFor(artifact.info.isa);
     return comboFails(artifact.info.kind, artifact.info.precision,
-                      artifact.info.engineOn, artifact.info.simdOn,
+                      artifact.info.isa,
                       artifact.info.threads, artifact.matrix,
                       artifact.info.denseWidth,
                       artifact.info.denseSeed,

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/precision.h"
+#include "engine/simd/simd.h"
 #include "kernels/kernel.h"
 #include "matrix/csr.h"
 
@@ -56,8 +57,8 @@ struct FailureArtifact
     int scale = 1;
     KernelKind kind = KernelKind::CuSparse;
     Precision precision = Precision::Fp32;
-    bool engineOn = true;
-    bool simdOn = true;
+    /** SIMD backend; a sidecar without an isa line means detected. */
+    engine::simd::Isa isa = engine::simd::detectedIsa();
     int threads = 1;
     int64_t denseWidth = 16;
     uint64_t denseSeed = 1;
@@ -91,6 +92,8 @@ LoadedArtifact loadFailureArtifact(const std::string& case_path);
 /**
  * Re-runs the artifact's combo through the oracle.  Returns true when
  * the failure still reproduces (@p detail receives the description).
+ * Raises DtcError(InvalidInput) when this host cannot run the
+ * artifact's ISA.
  */
 bool replayArtifact(const LoadedArtifact& artifact,
                     std::string* detail = nullptr);

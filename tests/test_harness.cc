@@ -18,6 +18,7 @@
 
 #include "common/error.h"
 #include "common/precision.h"
+#include "engine/simd/simd.h"
 #include "formats/me_tcf.h"
 #include "kernels/kernel.h"
 #include "matrix/coo.h"
@@ -144,6 +145,9 @@ TEST(Oracle, GreenOnEveryAdversarialFamily)
     cfg.precisions = {Precision::Fp32, Precision::Tf32,
                       Precision::Fp16};
     cfg.threadCounts = {1, 4};
+    // The ISA axis: the scalar baseline plus every ISA the host runs.
+    EXPECT_EQ(cfg.isas, engine::simd::supportedIsas());
+    EXPECT_EQ(cfg.isas.front(), engine::simd::Isa::Scalar);
     for (StructureFamily family : testing::allStructureFamilies()) {
         testing::OracleCase c;
         c.a = testing::generateStructure(family, 2, 0);
@@ -154,9 +158,15 @@ TEST(Oracle, GreenOnEveryAdversarialFamily)
             << (rep.firstFailure() ? rep.firstFailure()->describe()
                                    : "");
         EXPECT_GT(rep.passes, 0) << c.label;
+        // Every expressible (kind, precision) pair runs on every ISA
+        // and thread count; nothing is skipped.
+        int64_t pairs = 0;
+        for (KernelKind kind : allKernelKinds())
+            for (Precision p : cfg.precisions)
+                pairs += kernelSupportsPrecision(kind, p) ? 1 : 0;
         EXPECT_EQ(rep.combos(),
-                  static_cast<int64_t>(allKernelKinds().size()) * 3 * 2
-                      * 2 * 2)
+                  pairs * static_cast<int64_t>(cfg.isas.size()) *
+                      static_cast<int64_t>(cfg.threadCounts.size()))
             << c.label;
     }
 }
@@ -167,8 +177,8 @@ TEST(Oracle, SingleConfigJudgesExactlyOneCombo)
     c.a = testing::generateStructure(StructureFamily::Banded, 3, 0);
     const testing::OracleReport rep = testing::runOracle(
         c, testing::OracleConfig::single(KernelKind::Dtc,
-                                         Precision::Tf32, true, true,
-                                         1));
+                                         Precision::Tf32,
+                                         engine::simd::Isa::Scalar, 1));
     EXPECT_EQ(rep.combos(), 1);
     EXPECT_TRUE(rep.ok()) << rep.summary();
 }
@@ -375,7 +385,7 @@ TEST(InjectedBug, ShrinksToTinyReproducerAndRoundTripsAsArtifact)
     info.scale = 0;
     info.kind = KernelKind::Dtc;
     info.precision = Precision::Tf32;
-    info.engineOn = true;
+    info.isa = engine::simd::Isa::Scalar;
     info.threads = 1;
     info.denseWidth = 8;
     info.denseSeed = 77;
@@ -390,12 +400,26 @@ TEST(InjectedBug, ShrinksToTinyReproducerAndRoundTripsAsArtifact)
     EXPECT_EQ(loaded.info.kind, info.kind);
     EXPECT_EQ(loaded.info.precision, info.precision);
     EXPECT_EQ(loaded.info.denseSeed, info.denseSeed);
+    EXPECT_EQ(loaded.info.isa, info.isa);
 
     // The reloaded matrix still trips the buggy kernel...
     EXPECT_TRUE(buggyKernelFails(loaded.matrix));
     // ...while the real registry kernel passes the same combo, which
     // is exactly what a checked-in regression artifact asserts.
     EXPECT_FALSE(testing::replayArtifact(loaded));
+
+    // Every ISA this host runs replays green; one it lacks is a typed
+    // error, never a silent replay on another backend.
+    for (const engine::simd::Isa isa :
+         {engine::simd::Isa::Scalar, engine::simd::Isa::Avx2,
+          engine::simd::Isa::Avx512}) {
+        testing::LoadedArtifact pinned = loaded;
+        pinned.info.isa = isa;
+        if (engine::simd::isaSupported(isa))
+            EXPECT_FALSE(testing::replayArtifact(pinned));
+        else
+            EXPECT_THROW(testing::replayArtifact(pinned), DtcError);
+    }
 }
 
 } // namespace

@@ -41,13 +41,13 @@ TEST(Integration, FullPipelineMatchesReference)
     kernel.compute(b, c);
 
     DenseMatrix want(reordered.rows(), 64);
-    referenceSpmmTf32(reordered, b, want);
+    referenceSpmmRounded(reordered, b, want, Precision::Tf32);
     EXPECT_TRUE(c == want);
 
     // Row permutation only permutes C rows: verify against the
     // original matrix through the permutation.
     DenseMatrix orig_want(a.rows(), 64);
-    referenceSpmmTf32(a, b, orig_want);
+    referenceSpmmRounded(a, b, orig_want, Precision::Tf32);
     for (int64_t r = 0; r < a.rows(); ++r)
         for (int64_t j = 0; j < 64; ++j)
             EXPECT_FLOAT_EQ(c.at(r, j), orig_want.at(perm[r], j));

@@ -127,7 +127,7 @@ TEST_P(DenseWidthSweep, DtcCorrectAtWidth)
     b.fillRandom(rng);
     DenseMatrix c(a.rows(), n), want(a.rows(), n);
     kernel.compute(b, c);
-    referenceSpmmTf32(a, b, want);
+    referenceSpmmRounded(a, b, want, Precision::Tf32);
     EXPECT_TRUE(c == want);
 }
 
@@ -144,7 +144,7 @@ TEST(Kernels, DtcAblationVariantsAllCorrect)
     DenseMatrix b(a.cols(), 16);
     b.fillRandom(rng);
     DenseMatrix want(a.rows(), 16);
-    referenceSpmmTf32(a, b, want);
+    referenceSpmmRounded(a, b, want, Precision::Tf32);
     for (int mask = 0; mask < 16; ++mask) {
         DtcOptions o;
         o.smb = mask & 1;
@@ -263,7 +263,7 @@ TEST(Kernels, ReferenceTf32CloseToDouble)
     b.fillRandom(rng);
     DenseMatrix d(a.rows(), 16), t(a.rows(), 16);
     referenceSpmm(a, b, d);
-    referenceSpmmTf32(a, b, t);
+    referenceSpmmRounded(a, b, t, Precision::Tf32);
     // TF32 keeps ~3 decimal digits.
     expectClose(t, d, 1e-3);
     EXPECT_FALSE(t == d); // but is genuinely lower precision

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -412,7 +413,7 @@ TEST_F(RuntimeTest, GuardAcceptsCorrectResults)
     CsrMatrix a = genUniform(512, 8.0, rng);
     const DenseMatrix b = testing::makeDenseOperand(a.cols(), 32, 11);
     DenseMatrix c(a.rows(), b.cols());
-    referenceSpmmTf32(a, b, c);
+    referenceSpmmRounded(a, b, c, Precision::Tf32);
     runtime::guard::GuardOptions opt;
     opt.sampleFraction = 1.0; // every row
     const runtime::guard::GuardResult g =
@@ -487,6 +488,38 @@ TEST_F(RuntimeTest, GuardMismatchTriggersReexecutionOnFallback)
     EXPECT_GE(obs::metrics::counterValue("runtime.guard.reexecs"),
               1u);
     EXPECT_GE(obs::metrics::counterValue("runtime.guard.checks"), 2u);
+}
+
+TEST_F(RuntimeTest, EveryCandidateFailingServesTheReference)
+{
+    CsrMatrix a = genUniform(512, 8.0, rng);
+    const DenseMatrix b = testing::makeDenseOperand(a.cols(), 32, 16);
+
+    RuntimeOptions opt;
+    opt.guard.sampleFraction = 1.0;
+    // Every candidate's output is corrupted, so the guard rejects each
+    // one and the run ends on the terminal fallback.
+    opt.postComputeHook = [](const std::string&, DenseMatrix& c) {
+        c.at(0, 0) += 100.0f;
+    };
+    Runtime rt(a, cm, std::move(opt));
+
+    DenseMatrix c(a.rows(), b.cols());
+    RunReport rep;
+    rt.run(b, c, &rep);
+    EXPECT_TRUE(rep.usedReferenceFallback);
+    EXPECT_EQ(rep.kernel, "reference(double)");
+    ASSERT_FALSE(rep.failures.empty());
+    for (const runtime::RunAttempt& f : rep.failures)
+        EXPECT_TRUE(f.guardMismatch) << f.kernel;
+
+    // The fallback's engine driver computes the naive reference's
+    // double-accumulation numerics bit for bit.
+    DenseMatrix want(a.rows(), b.cols());
+    referenceSpmm(a, b, want);
+    EXPECT_EQ(std::memcmp(c.data(), want.data(),
+                          c.size() * sizeof(float)),
+              0);
 }
 
 TEST_F(RuntimeTest, GuardDisabledProbeIsOneAtomicLoad)

@@ -1,20 +1,25 @@
 /**
  * @file
- * SIMD backend suite (src/engine/simd/).
+ * Engine and SIMD backend suite (src/engine/).
  *
- * Three contracts:
- *   1. Bitwise identity — every backend (scalar, and each ISA the
- *      host supports) produces output identical to Isa::Off (the
- *      dispatcher bypass, i.e. the pre-SIMD engine loops) for every
- *      engine-routed kernel, precision, thread count and width,
- *      including ragged tails (N = 1, 7, 9, 33) and the dense-tile
- *      inner-product path.
- *   2. Dispatch — cpuid detection, the typed DTC_SIMD override
- *      (off|scalar|avx2|avx512, unknown/unsupported raise
- *      DtcError(InvalidInput)), and ScopedSimdMode nesting.
- *   3. Observability — engine.simd.vector_elems / tail_elems follow
- *      the fixed 8-wide definitional split, independent of the
- *      physical vector width.
+ * Four contracts:
+ *   1. Independence — every engine-routed kernel, on every SIMD
+ *      backend the host supports, is bitwise equal to the naive
+ *      referenceSpmmRounded (kernels/reference.h shares no code with
+ *      the engine) across matrix shapes, dense widths (ragged tails,
+ *      and N wide enough for several column panels), operand
+ *      precisions and thread counts.  The engine's CSR drivers match
+ *      the naive references too, and gemm matches an i-k-j loop
+ *      written here.
+ *   2. Backend identity — every vector backend matches Isa::Scalar,
+ *      the portable baseline, around the vector widths, and its
+ *      rounding pass matches roundToPrecision.
+ *   3. PreparedDense — cache hits, re-rounding after in-place
+ *      mutation, and the rounded values themselves.
+ *   4. Dispatch — cpuid detection, the typed DTC_SIMD override
+ *      (scalar|avx2|avx512; anything else, or an ISA the CPU lacks,
+ *      raises DtcError(InvalidInput)), ScopedSimdMode nesting, and
+ *      the ScopedPanelCols override.
  */
 #include <gtest/gtest.h>
 
@@ -33,8 +38,11 @@
 #include "engine/engine.h"
 #include "engine/prepared_dense.h"
 #include "engine/simd/simd.h"
+#include "engine/spmm_csr.h"
+#include "gnn/dense_ops.h"
 #include "kernels/dtc.h"
 #include "kernels/kernel.h"
+#include "kernels/reference.h"
 #include "matrix/coo.h"
 
 namespace dtc {
@@ -67,7 +75,6 @@ class EnvGuard
     {
         ::setenv(varName.c_str(), v.c_str(), 1);
     }
-    void unset() { ::unsetenv(varName.c_str()); }
 
   private:
     std::string varName;
@@ -75,42 +82,83 @@ class EnvGuard
     std::string saved;
 };
 
-/** Every backend the host can actually run (always includes Scalar). */
-std::vector<Isa>
-supportedBackends()
+/**
+ * Dense widths: j-block multiples, odd tails (13, 137), panel-exact
+ * (256 = kPanelCols), and 515 (odd AND > 2*kPanelCols, forcing the
+ * multi-panel path with a ragged last panel).  Tests that depend on
+ * 515 exercising multiple panels pin ScopedPanelCols(kPanelCols),
+ * since the auto-tuned base (engine::panelColsBase) can be wide
+ * enough on big-cache hosts to make 515 a single panel.
+ */
+const int64_t kWidths[] = {1, 8, 13, 16, 137, 256, 515};
+
+/** Widths around the vector boundaries: 1, 7 (sub-vector), 9 (one
+ * vector + tail), 33 (crosses the AVX-512 16-lane step). */
+const int64_t kSimdWidths[] = {1, 7, 9, 33};
+
+const Precision kTcPrecisions[] = {Precision::Tf32, Precision::Bf16,
+                                   Precision::Fp16};
+
+std::vector<std::pair<std::string, CsrMatrix>>
+sweepMatrices()
 {
-    std::vector<Isa> out = {Isa::Scalar};
-    for (Isa isa : {Isa::Avx2, Isa::Avx512})
-        if (engine::simd::isaSupported(isa))
-            out.push_back(isa);
+    std::vector<std::pair<std::string, CsrMatrix>> out;
+    out.emplace_back("empty-32x32", CsrMatrix(32, 32));
+
+    CooMatrix onerow(64, 64);
+    for (int32_t c = 0; c < 64; c += 3)
+        onerow.add(0, c, 1.0f + static_cast<float>(c));
+    out.emplace_back("single-populated-row",
+                     CsrMatrix::fromCoo(onerow));
+
+    Rng rng(2024);
+    // Full 16x8 TC blocks: every lane of every block is populated.
+    out.emplace_back("dense-blocks",
+                     genBlockDiagonal(64, 16, 1.0, rng));
+    out.emplace_back("dense-ish",
+                     genBlockDiagonal(64, 16, 0.9, rng));
+    out.emplace_back("sparse-95pct", genUniform(256, 4.0, rng));
+    out.emplace_back("community",
+                     genCommunity(512, 8, 12.0, 0.85, rng));
     return out;
 }
 
-std::vector<std::pair<std::string, CsrMatrix>>
-simdSweepMatrices()
+std::vector<KernelKind>
+engineRoutedKinds()
 {
-    std::vector<std::pair<std::string, CsrMatrix>> out;
-    Rng rng(7);
-    // Full 16x8 blocks: the register-blocked tileInner path.
-    out.emplace_back("dense-blocks",
-                     genBlockDiagonal(64, 16, 1.0, rng));
-    // Partially-filled blocks: the residue-lane (axpyPrefetch) path.
-    out.emplace_back("dense-ish", genBlockDiagonal(64, 16, 0.9, rng));
-    out.emplace_back("sparse", genUniform(128, 4.0, rng));
-    return out;
+    return {KernelKind::CuSparse, KernelKind::Tcgnn,
+            KernelKind::Dtc,      KernelKind::DtcBase,
+            KernelKind::DtcBalanced, KernelKind::Sputnik};
 }
 
 DenseMatrix
-runCompute(SpmmKernel& kernel, const CsrMatrix& a, int64_t n, Isa isa)
+randomDense(int64_t rows, int64_t cols, uint64_t seed)
+{
+    Rng rng(seed);
+    DenseMatrix d(rows, cols);
+    d.fillRandom(rng);
+    return d;
+}
+
+/** The naive oracle: C = A * B with operands rounded to @p p. */
+DenseMatrix
+naiveRounded(const CsrMatrix& a, const DenseMatrix& b, Precision p)
+{
+    DenseMatrix c(a.rows(), b.cols());
+    referenceSpmmRounded(a, b, c, p);
+    return c;
+}
+
+/** compute() of a kernel prepared on @p a, on backend @p isa. */
+DenseMatrix
+runCompute(const SpmmKernel& kernel, const CsrMatrix& a,
+           const DenseMatrix& b, Isa isa)
 {
     ScopedSimdMode mode(isa);
-    Rng rng(41);
-    DenseMatrix b(a.cols(), n);
-    b.fillRandom(rng);
-    DenseMatrix c(a.rows(), n);
+    DenseMatrix c(a.rows(), b.cols());
     // Fresh rounding pass per call so PreparedDense cannot hand one
-    // backend a panel rounded by another (identity must hold anyway,
-    // but the test should exercise each backend's roundPanel too).
+    // backend a panel rounded by another: each backend's roundPanel
+    // runs too.
     engine::clearPreparedDenseCache();
     kernel.compute(b, c);
     return c;
@@ -128,37 +176,194 @@ expectBitwiseEqual(const DenseMatrix& a, const DenseMatrix& b)
     }
 }
 
+std::string
+label(const std::string& what, int64_t n, Isa isa)
+{
+    return what + " n=" + std::to_string(n) +
+           " isa=" + engine::simd::isaName(isa);
+}
+
 // ---------------------------------------------------------------------
-// 1. Bitwise identity.
+// 1. Independence: the engine against the naive references.
 // ---------------------------------------------------------------------
 
-/** Widths around the vector boundaries: 1, 7 (sub-vector), 9 (one
- * vector + tail), 33 (crosses the AVX-512 16-lane step). */
-const int64_t kSimdWidths[] = {1, 7, 9, 33};
+TEST(EngineEquivalence, AllEngineRoutedKernelsAllWidths)
+{
+    engine::ScopedPanelCols pin(engine::kPanelCols);
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (KernelKind kind : engineRoutedKinds()) {
+            auto kernel = makeKernel(kind);
+            if (!kernel->prepare(m).empty())
+                continue;
+            const Precision p = kernelTraits(kind).nativePrecision;
+            for (int64_t n : kWidths) {
+                const DenseMatrix b = randomDense(m.cols(), n, 99);
+                const DenseMatrix want = naiveRounded(m, b, p);
+                for (Isa isa : engine::simd::supportedIsas()) {
+                    SCOPED_TRACE(label(std::string(kernelKindName(kind)) +
+                                           " on " + mat_name,
+                                       n, isa));
+                    expectBitwiseEqual(runCompute(*kernel, m, b, isa),
+                                       want);
+                }
+            }
+        }
+    }
+}
+
+TEST(EngineEquivalence, DtcAllPrecisions)
+{
+    engine::ScopedPanelCols pin(engine::kPanelCols);
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (Precision p : kTcPrecisions) {
+            DtcOptions opts;
+            opts.precision = p;
+            DtcKernel kernel(opts);
+            if (!kernel.prepare(m).empty())
+                continue;
+            for (int64_t n : kWidths) {
+                const DenseMatrix b = randomDense(m.cols(), n, 99);
+                const DenseMatrix want = naiveRounded(m, b, p);
+                for (Isa isa : engine::simd::supportedIsas()) {
+                    SCOPED_TRACE(label(mat_name + " precision=" +
+                                           precisionName(p),
+                                       n, isa));
+                    expectBitwiseEqual(runCompute(kernel, m, b, isa),
+                                       want);
+                }
+            }
+        }
+    }
+}
+
+/** The engine's CSR drivers compute the naive references' numerics. */
+TEST(EngineEquivalence, ReferenceKernels)
+{
+    engine::ScopedPanelCols pin(engine::kPanelCols);
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (int64_t n : kWidths) {
+            const DenseMatrix b = randomDense(m.cols(), n, 5);
+            DenseMatrix want(m.rows(), n);
+            referenceSpmm(m, b, want);
+            for (Isa isa : engine::simd::supportedIsas()) {
+                SCOPED_TRACE(label(mat_name + " double", n, isa));
+                ScopedSimdMode mode(isa);
+                DenseMatrix got(m.rows(), n);
+                engine::spmmCsrDoubleAcc(
+                    m.rows(), m.rowPtr().data(), m.colIdx().data(),
+                    m.values().data(), b, got, 64);
+                expectBitwiseEqual(got, want);
+            }
+            for (Precision p : {Precision::Fp32, Precision::Tf32,
+                                Precision::Bf16, Precision::Fp16}) {
+                const DenseMatrix want_p = naiveRounded(m, b, p);
+                for (Isa isa : engine::simd::supportedIsas()) {
+                    SCOPED_TRACE(label(mat_name + " " +
+                                           precisionName(p),
+                                       n, isa));
+                    ScopedSimdMode mode(isa);
+                    engine::clearPreparedDenseCache();
+                    DenseMatrix got(m.rows(), n);
+                    engine::spmmCsrRounded(
+                        m.rows(), m.rowPtr().data(),
+                        m.colIdx().data(), m.values().data(), p, b,
+                        got, 64);
+                    expectBitwiseEqual(got, want_p);
+                }
+            }
+        }
+    }
+}
+
+TEST(EngineEquivalence, GemmAllTransposeCombos)
+{
+    Rng rng(11);
+    // n = 13 is j-block-ragged; n = 150 spans three 64-wide panels.
+    engine::ScopedPanelCols pin(64);
+    const int64_t m = 37, k = 23;
+    for (int64_t n : {13, 150}) {
+        for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+                DenseMatrix a(ta ? k : m, ta ? m : k);
+                DenseMatrix b(tb ? n : k, tb ? k : n);
+                a.fillRandom(rng);
+                b.fillRandom(rng);
+                for (int64_t i = 0; i < a.rows(); i += 3)
+                    a.at(i, i % a.cols()) = 0.0f; // the zero skip
+
+                DenseMatrix want(m, n);
+                want.setZero();
+                for (int64_t i = 0; i < m; ++i) {
+                    for (int64_t kk = 0; kk < k; ++kk) {
+                        const float av = ta ? a.at(kk, i) : a.at(i, kk);
+                        if (av == 0.0f)
+                            continue;
+                        for (int64_t j = 0; j < n; ++j)
+                            want.at(i, j) +=
+                                av * (tb ? b.at(j, kk) : b.at(kk, j));
+                    }
+                }
+                for (Isa isa : engine::simd::supportedIsas()) {
+                    SCOPED_TRACE(label(std::string("ta=") +
+                                           (ta ? "1" : "0") +
+                                           " tb=" + (tb ? "1" : "0"),
+                                       n, isa));
+                    ScopedSimdMode mode(isa);
+                    DenseMatrix got(m, n);
+                    gemm(a, ta, b, tb, got);
+                    expectBitwiseEqual(got, want);
+                }
+            }
+        }
+    }
+}
+
+TEST(EngineEquivalence, ThreadCountInvariant)
+{
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (KernelKind kind : engineRoutedKinds()) {
+            auto kernel = makeKernel(kind);
+            if (!kernel->prepare(m).empty())
+                continue;
+            SCOPED_TRACE(std::string(kernelKindName(kind)) + " on " +
+                         mat_name);
+            const DenseMatrix b = randomDense(m.cols(), 137, 99);
+            const Isa isa = engine::simd::detectedIsa();
+            DenseMatrix c1, c8;
+            {
+                ScopedNumThreads t(1);
+                c1 = runCompute(*kernel, m, b, isa);
+            }
+            {
+                ScopedNumThreads t(8);
+                c8 = runCompute(*kernel, m, b, isa);
+            }
+            expectBitwiseEqual(c1, c8);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// 2. Backend identity: every vector backend against Isa::Scalar.
+// ---------------------------------------------------------------------
 
 TEST(SimdEquivalence, AllEngineRoutedKernels)
 {
-    const KernelKind kinds[] = {KernelKind::CuSparse,
-                                KernelKind::Tcgnn,
-                                KernelKind::Dtc,
-                                KernelKind::DtcBase,
-                                KernelKind::DtcBalanced,
-                                KernelKind::Sputnik};
-    for (const auto& [mat_name, m] : simdSweepMatrices()) {
-        for (KernelKind kind : kinds) {
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (KernelKind kind : engineRoutedKinds()) {
             auto kernel = makeKernel(kind);
             if (!kernel->prepare(m).empty())
                 continue;
             for (int64_t n : kSimdWidths) {
-                const DenseMatrix off =
-                    runCompute(*kernel, m, n, Isa::Off);
-                for (Isa isa : supportedBackends()) {
-                    SCOPED_TRACE(std::string(kernelKindName(kind)) +
-                                 " on " + mat_name + " n=" +
-                                 std::to_string(n) + " isa=" +
-                                 engine::simd::isaName(isa));
+                const DenseMatrix b = randomDense(m.cols(), n, 41);
+                const DenseMatrix scalar =
+                    runCompute(*kernel, m, b, Isa::Scalar);
+                for (Isa isa : engine::simd::supportedIsas()) {
+                    SCOPED_TRACE(label(std::string(kernelKindName(kind)) +
+                                           " on " + mat_name,
+                                       n, isa));
                     expectBitwiseEqual(
-                        off, runCompute(*kernel, m, n, isa));
+                        scalar, runCompute(*kernel, m, b, isa));
                 }
             }
         }
@@ -167,9 +372,8 @@ TEST(SimdEquivalence, AllEngineRoutedKernels)
 
 TEST(SimdEquivalence, DtcAllPrecisionsAllThreadCounts)
 {
-    for (const auto& [mat_name, m] : simdSweepMatrices()) {
-        for (Precision p : {Precision::Tf32, Precision::Bf16,
-                            Precision::Fp16}) {
+    for (const auto& [mat_name, m] : sweepMatrices()) {
+        for (Precision p : kTcPrecisions) {
             DtcOptions opts;
             opts.precision = p;
             DtcKernel kernel(opts);
@@ -178,16 +382,16 @@ TEST(SimdEquivalence, DtcAllPrecisionsAllThreadCounts)
             for (int threads : {1, 4, 8}) {
                 ScopedNumThreads nt(threads);
                 for (int64_t n : kSimdWidths) {
-                    const DenseMatrix off =
-                        runCompute(kernel, m, n, Isa::Off);
-                    for (Isa isa : supportedBackends()) {
-                        SCOPED_TRACE(
+                    const DenseMatrix b = randomDense(m.cols(), n, 41);
+                    const DenseMatrix scalar =
+                        runCompute(kernel, m, b, Isa::Scalar);
+                    for (Isa isa : engine::simd::supportedIsas()) {
+                        SCOPED_TRACE(label(
                             mat_name + " p=" + precisionName(p) +
-                            " threads=" + std::to_string(threads) +
-                            " n=" + std::to_string(n) + " isa=" +
-                            engine::simd::isaName(isa));
+                                " threads=" + std::to_string(threads),
+                            n, isa));
                         expectBitwiseEqual(
-                            off, runCompute(kernel, m, n, isa));
+                            scalar, runCompute(kernel, m, b, isa));
                     }
                 }
             }
@@ -224,7 +428,7 @@ TEST(SimdEquivalence, RoundPanelMatchesScalarRounding)
     const int64_t n = static_cast<int64_t>(in.size());
     for (Precision p : {Precision::Fp32, Precision::Tf32,
                         Precision::Bf16, Precision::Fp16}) {
-        for (Isa isa : supportedBackends()) {
+        for (Isa isa : engine::simd::supportedIsas()) {
             SCOPED_TRACE(std::string(precisionName(p)) + " isa=" +
                          engine::simd::isaName(isa));
             const engine::simd::Kernels& K =
@@ -243,7 +447,91 @@ TEST(SimdEquivalence, RoundPanelMatchesScalarRounding)
 }
 
 // ---------------------------------------------------------------------
-// 2. Dispatch.
+// 3. PreparedDense.
+// ---------------------------------------------------------------------
+
+TEST(EngineEquivalence, PreparedDenseCacheHitsAndInvalidation)
+{
+    engine::clearPreparedDenseCache();
+    engine::resetStats();
+    Rng rng(3);
+    DenseMatrix b(64, 32);
+    b.fillRandom(rng);
+
+    {
+        engine::PreparedDense p1(b, Precision::Tf32);
+        EXPECT_FALSE(p1.fromCache());
+    }
+    EXPECT_EQ(engine::stats().panelMisses.load(), 1u);
+    EXPECT_EQ(engine::stats().roundingOps.load(),
+              static_cast<uint64_t>(64 * 32));
+
+    {
+        // Same contents: served from cache, no new rounding.
+        engine::PreparedDense p2(b, Precision::Tf32);
+        EXPECT_TRUE(p2.fromCache());
+    }
+    EXPECT_EQ(engine::stats().panelHits.load(), 1u);
+    EXPECT_EQ(engine::stats().roundingOps.load(),
+              static_cast<uint64_t>(64 * 32));
+
+    {
+        // Different precision: its own entry.
+        engine::PreparedDense p3(b, Precision::Fp16);
+        EXPECT_FALSE(p3.fromCache());
+    }
+    EXPECT_EQ(engine::stats().panelMisses.load(), 2u);
+
+    // In-place mutation (a GCN feature matrix between steps) must
+    // re-round rather than serve the stale panel.
+    b.at(5, 7) += 1.0f;
+    {
+        engine::PreparedDense p4(b, Precision::Tf32);
+        EXPECT_FALSE(p4.fromCache());
+    }
+    EXPECT_EQ(engine::stats().panelMisses.load(), 3u);
+
+    // Fp32 is pass-through: no rounding, no cache traffic.
+    const uint64_t ops = engine::stats().roundingOps.load();
+    {
+        engine::PreparedDense p5(b, Precision::Fp32);
+        EXPECT_FALSE(p5.fromCache());
+        EXPECT_EQ(p5.row(0), b.row(0));
+    }
+    EXPECT_EQ(engine::stats().roundingOps.load(), ops);
+
+    engine::clearPreparedDenseCache();
+}
+
+/** The rounded panel holds exactly roundToPrecision(B), per backend. */
+TEST(EngineEquivalence, PreparedDenseValuesMatchScalarRounding)
+{
+    Rng rng(17);
+    DenseMatrix b(33, 21);
+    b.fillRandom(rng, -70000.0f, 70000.0f); // exercise FP16 saturation
+    for (Isa isa : engine::simd::supportedIsas()) {
+        ScopedSimdMode mode(isa);
+        for (Precision p : kTcPrecisions) {
+            engine::clearPreparedDenseCache();
+            engine::PreparedDense pd(b, p);
+            for (int64_t r = 0; r < b.rows(); ++r) {
+                const float* pr = pd.row(r);
+                for (int64_t j = 0; j < b.cols(); ++j) {
+                    const float want = roundToPrecision(b.at(r, j), p);
+                    ASSERT_EQ(
+                        std::memcmp(&pr[j], &want, sizeof(float)), 0)
+                        << "r=" << r << " j=" << j
+                        << " p=" << precisionName(p)
+                        << " isa=" << engine::simd::isaName(isa);
+                }
+            }
+        }
+    }
+    engine::clearPreparedDenseCache();
+}
+
+// ---------------------------------------------------------------------
+// 4. Dispatch.
 // ---------------------------------------------------------------------
 
 TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
@@ -251,7 +539,11 @@ TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
     EnvGuard guard("DTC_SIMD");
     const Isa detected = engine::simd::detectedIsa();
     EXPECT_TRUE(engine::simd::isaSupported(detected));
-    EXPECT_NE(detected, Isa::Off);
+    // Scalar is the baseline every host runs; detection is the widest.
+    const std::vector<Isa> isas = engine::simd::supportedIsas();
+    ASSERT_FALSE(isas.empty());
+    EXPECT_EQ(isas.front(), Isa::Scalar);
+    EXPECT_EQ(isas.back(), detected);
     // With no env and no override, activeIsa is the detection.
     EXPECT_EQ(engine::simd::activeIsa(), detected);
     EXPECT_EQ(engine::simd::kernels().isa, detected);
@@ -260,8 +552,6 @@ TEST(SimdDispatch, DetectedIsaIsSupportedAndDefault)
 TEST(SimdDispatch, EnvOverrideIsHonoured)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("off");
-    EXPECT_EQ(engine::simd::activeIsa(), Isa::Off);
     guard.set("scalar");
     EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
     for (Isa isa : {Isa::Avx2, Isa::Avx512}) {
@@ -276,31 +566,35 @@ TEST(SimdDispatch, EnvOverrideIsHonoured)
 TEST(SimdDispatch, UnknownEnvValueRaisesTypedError)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("avx-512"); // typo'd knob must fail loudly
-    try {
-        engine::simd::activeIsa();
-        FAIL() << "expected DtcError";
-    } catch (const DtcError& e) {
-        EXPECT_EQ(e.code(), ErrorCode::InvalidInput);
-        EXPECT_NE(std::string(e.what()).find("DTC_SIMD"),
-                  std::string::npos);
+    // A typo'd knob, or "off" (no such backend), must fail loudly.
+    for (const char* bad : {"avx-512", "off"}) {
+        guard.set(bad);
+        try {
+            engine::simd::activeIsa();
+            FAIL() << "expected DtcError for " << bad;
+        } catch (const DtcError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::InvalidInput);
+            EXPECT_NE(std::string(e.what()).find("DTC_SIMD"),
+                      std::string::npos);
+        }
     }
 }
 
 TEST(SimdDispatch, ScopedModeOverridesEnvAndNests)
 {
     EnvGuard guard("DTC_SIMD");
-    guard.set("off");
+    guard.set("scalar");
+    const Isa detected = engine::simd::detectedIsa();
     {
-        ScopedSimdMode outer(Isa::Scalar);
-        EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
+        ScopedSimdMode outer(detected);
+        EXPECT_EQ(engine::simd::activeIsa(), detected);
         {
-            ScopedSimdMode inner(Isa::Off);
-            EXPECT_EQ(engine::simd::activeIsa(), Isa::Off);
+            ScopedSimdMode inner(Isa::Scalar);
+            EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
         }
-        EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar);
+        EXPECT_EQ(engine::simd::activeIsa(), detected);
     }
-    EXPECT_EQ(engine::simd::activeIsa(), Isa::Off); // env again
+    EXPECT_EQ(engine::simd::activeIsa(), Isa::Scalar); // env again
 }
 
 TEST(SimdDispatch, KernelsForUnavailableBackendRaises)
@@ -312,94 +606,34 @@ TEST(SimdDispatch, KernelsForUnavailableBackendRaises)
             EXPECT_THROW(engine::simd::kernelsFor(isa), DtcError);
         }
     }
-    EXPECT_EQ(engine::simd::kernelsFor(Isa::Off).isa, Isa::Off);
     EXPECT_EQ(engine::simd::kernelsFor(Isa::Scalar).isa, Isa::Scalar);
+    for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512})
+        EXPECT_EQ(engine::simd::isaFromName(engine::simd::isaName(isa)),
+                  isa);
+    EXPECT_FALSE(engine::simd::isaFromName("off").has_value());
 }
-
-// ---------------------------------------------------------------------
-// 3. Observability counters.
-// ---------------------------------------------------------------------
-
-TEST(SimdCounters, FollowTheFixed8WideSplit)
-{
-    AlignedVector<float> c(33, 0.0f);
-    AlignedVector<float> b(33, 1.0f);
-    for (Isa isa : supportedBackends()) {
-        SCOPED_TRACE(engine::simd::isaName(isa));
-        const engine::simd::Kernels& K = engine::simd::kernelsFor(isa);
-        engine::simd::resetStats();
-        K.axpy(c.data(), b.data(), 2.0f, 33);
-        // Definitional split: vector = n - n%8, tail = n%8, except
-        // the scalar backend books everything to the tail.
-        if (isa == Isa::Scalar) {
-            EXPECT_EQ(engine::simd::stats().vectorElems.load(), 0u);
-            EXPECT_EQ(engine::simd::stats().tailElems.load(), 33u);
-        } else {
-            EXPECT_EQ(engine::simd::stats().vectorElems.load(), 32u);
-            EXPECT_EQ(engine::simd::stats().tailElems.load(), 1u);
-        }
-    }
-    // The Off table bypasses the dispatcher: no counters at all.
-    engine::simd::resetStats();
-    const engine::simd::Kernels& off =
-        engine::simd::kernelsFor(Isa::Off);
-    off.axpy(c.data(), b.data(), 2.0f, 33);
-    EXPECT_EQ(engine::simd::stats().vectorElems.load(), 0u);
-    EXPECT_EQ(engine::simd::stats().tailElems.load(), 0u);
-}
-
-TEST(SimdCounters, PreparedDenseBooksWholePasses)
-{
-    engine::clearPreparedDenseCache();
-    Rng rng(31);
-    DenseMatrix b(15, 33); // 495 elements: 61 vectors + 7-wide tail
-    b.fillRandom(rng);
-    const uint64_t total = 15 * 33;
-    ScopedSimdMode mode(engine::simd::detectedIsa());
-    engine::simd::resetStats();
-    engine::PreparedDense pd(b, Precision::Tf32);
-    if (engine::simd::detectedIsa() == Isa::Scalar) {
-        EXPECT_EQ(engine::simd::stats().tailElems.load(), total);
-    } else {
-        EXPECT_EQ(engine::simd::stats().vectorElems.load(),
-                  total - total % 8);
-        EXPECT_EQ(engine::simd::stats().tailElems.load(), total % 8);
-    }
-    engine::clearPreparedDenseCache();
-}
-
-// ---------------------------------------------------------------------
-// Panel-width auto-tune (satellite: engine::panelColsBase).
-// ---------------------------------------------------------------------
 
 TEST(PanelCols, OverridesResolveStrongestFirst)
 {
-    EnvGuard guard("DTC_PANEL_COLS");
     // Probe/default path: multiple of kJBlock inside the clamp.
-    guard.unset();
     const int64_t base = engine::panelColsBase();
     EXPECT_GE(base, 64);
     EXPECT_LE(base, 4096);
     EXPECT_EQ(base % engine::kJBlock, 0);
 
-    // Env knob beats the probe.
-    guard.set("128");
-    EXPECT_EQ(engine::panelColsBase(), 128);
-    // Typed validation: garbage raises instead of silently ignoring.
-    guard.set("many");
-    EXPECT_THROW(engine::panelColsBase(), DtcError);
-    guard.set("0");
-    EXPECT_THROW(engine::panelColsBase(), DtcError);
-
-    // Scoped override beats the env knob.
-    guard.set("128");
+    // A scoped override beats the probe, and nests.
     {
         engine::ScopedPanelCols pin(64);
         EXPECT_EQ(engine::panelColsBase(), 64);
         EXPECT_EQ(engine::panelCols(1000), 64);
         EXPECT_EQ(engine::panelCols(128), 128); // single panel
+        {
+            engine::ScopedPanelCols inner(128);
+            EXPECT_EQ(engine::panelColsBase(), 128);
+        }
+        EXPECT_EQ(engine::panelColsBase(), 64);
     }
-    EXPECT_EQ(engine::panelColsBase(), 128);
+    EXPECT_EQ(engine::panelColsBase(), base);
 }
 
 } // namespace
